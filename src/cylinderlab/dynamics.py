@@ -311,8 +311,6 @@ def unstable_manifold_sample(
     slice trains of neighbouring rays interleave; effective parameter
     resolution along the manifold is stride / S rather than stride.
     """
-    z = record.z
-    grid, k = z.grid, z.k
     meta = {
         "source": "unstable-manifold",
         "eps": context.eps,
@@ -321,8 +319,19 @@ def unstable_manifold_sample(
         "t_grow": t_grow,
         "stride": stride,
     }
+    starts = _ray_starts(record, split, radius, n_rays, stride)
+    trajs = _evolve_all(context, starts, t_grow, stride)
+    return PointCloud((record.z, *_slices(trajs, discard)), meta)
+
+
+def _ray_starts(
+    record: EquilibriumRecord, split: SpectralSplit, radius: float, n_rays: int, stride: float
+) -> list[Field]:
+    """Initial states on the unstable eigenrays of record (none if it is stable)."""
+    z = record.z
+    grid, k = z.grid, z.k
     if split.dim == 0:
-        return PointCloud((z,), meta)
+        return []
     nu = float(record.eigenvalues[0].real)
     if split.dim == 1:
         v = split.v_plus[:, 0].reshape(grid.n_interior, k)
@@ -338,13 +347,29 @@ def unstable_manifold_sample(
         for i, d in enumerate(dirs):
             r = radius * math.exp(nu * stride * i / n_rays)
             seeds.append(r * (split.v_plus @ d).reshape(grid.n_interior, k))
-    points = [z]
-    for seed in seeds:
-        traj = context.evolve(Field(grid, z.values + seed), 0.0, t_grow, stride)
-        for j in range(traj.times.shape[0]):
-            if traj.times[j] >= discard - 1e-12:
-                points.append(traj.field(j))
-    return PointCloud(tuple(points), meta)
+    return [Field(grid, z.values + seed) for seed in seeds]
+
+
+def _evolve_all(
+    context: Context, starts: list[Field], t_grow: float, stride: float
+) -> list[Trajectory]:
+    """Forward trajectories of starts: one ensemble on the limit semigroup,
+    one process run per start at eps > 0."""
+    if not isinstance(context, LimitContext):
+        return [context.evolve(u, 0.0, t_grow, stride) for u in starts]
+    if not starts:
+        return []
+    ensemble = context.evolve(starts, 0.0, t_grow, stride)
+    return [ensemble.member(i) for i in range(len(ensemble))]
+
+
+def _slices(trajs: list[Trajectory], discard: float) -> list[Field]:
+    return [
+        traj.field(j)
+        for traj in trajs
+        for j in range(traj.times.shape[0])
+        if traj.times[j] >= discard - 1e-12
+    ]
 
 
 def _sphere_directions(d: int, count: int) -> np.ndarray:
@@ -364,21 +389,23 @@ def sample_attractor(
 
     Works for the limit semigroup and for the eps-process alike; eigenray
     seeds start within O(radius + eps) of the attractor, so slices count
-    from t = 0 unless params.discard trims them.
+    from t = 0 unless params.discard trims them.  On the limit semigroup
+    the rays of all equilibria evolve as one ensemble.
     """
     if not equilibria:
         raise EmptyCloud("no equilibria to seed the attractor from")
-    points = []
+    starts = []
     for rec in equilibria:
         split = spectral_split(rec, context.mats, context.nl)
         radius = params.radius
         if radius is None:
             radius = 1e-3 * rec.z.l2() + 1e-3
-        cloud = unstable_manifold_sample(
-            rec, split, radius, params.n_rays, params.t_grow, context,
-            stride=params.stride, discard=params.discard,
-        )
-        points.extend(cloud.points)
+        starts.append(_ray_starts(rec, split, radius, params.n_rays, params.stride))
+    trajs = iter(_evolve_all(context, sum(starts, []), params.t_grow, params.stride))
+    points = []
+    for rec, rays in zip(equilibria, starts):
+        points.append(rec.z)
+        points.extend(_slices([next(trajs) for _ in rays], params.discard))
     meta = {
         "source": "attractor",
         "eps": context.eps,
@@ -649,9 +676,9 @@ def _eps_context(context: ProcessContext, g: Forcing, eps: float) -> ProcessCont
 
 
 def _limit_records_and_cloud(
-    gbar: Field, context: ProcessContext, params: CloudParams
+    gbar: Field, context: ProcessContext, params: CloudParams, rng=None
 ) -> tuple[list[EquilibriumRecord], PointCloud, LimitContext]:
-    records = find_equilibria(context.mats, context.nl, -gbar)
+    records = find_equilibria(context.mats, context.nl, -gbar, rng=rng)
     if not all(r.hyperbolic for r in records):
         gaps = [r.gap_nu for r in records if not r.hyperbolic]
         raise NonHyperbolicLimit(
@@ -667,17 +694,19 @@ def attractor_distance_experiment(
     g: Forcing,
     context: ProcessContext,
     params: CloudParams = CloudParams(),
+    rng=None,
 ) -> DistanceSweep:
     """Symmetric cloud distance to the limit attractor across an eps sweep.
 
     Fast families enter as profiles: each eps runs FastScaled(g, eps).
-    Requires every limit equilibrium to be hyperbolic.
+    Requires every limit equilibrium to be hyperbolic.  rng seeds the
+    random part of the limit equilibrium census.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_arr):
         raise ValueError("eps sweep must be strictly positive")
     gbar = forcing_mean(g)
-    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params)
+    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params, rng)
     rows = []
     for eps in eps_arr:
         ectx = _eps_context(context, _eps_forcing(g, eps), eps)
@@ -697,12 +726,14 @@ def averaging_experiment(
     mean_tol: float = 1e-2,
     window0: float = 32.0,
     max_doublings: int = 8,
+    rng=None,
 ) -> AveragingResult:
     """Attractor of the fast-forced problem against the averaged limit.
 
     The mean is computed empirically by window doubling (must stabilize
     within mean_tol, else AverageNotConverged); the limit equation is built
-    from that computed mean.
+    from that computed mean.  rng seeds the random part of the limit
+    equilibrium census.
     """
     w = window0
     prev = time_average(g, 0.0, w)
@@ -718,7 +749,7 @@ def averaging_experiment(
         raise AverageNotConverged(
             f"window average still moving after {max_doublings} doublings"
         )
-    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params)
+    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params, rng)
     rows = []
     for eps in eps_list:
         ectx = _eps_context(context, _eps_forcing(g, float(eps)), float(eps))

@@ -225,6 +225,34 @@ class Trajectory:
         return self.field(j)
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """R trajectories on shared times: times (nt,), values (R, nt, n_interior, k).
+
+    A float64 values array is frozen in place rather than copied, since an
+    ensemble of long runs can be large.
+    """
+
+    grid: SpatialGrid
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 4 or v.shape[1] != t.shape[0] or v.shape[2] != self.grid.n_interior:
+            raise ShapeMismatch(f"ensemble shapes inconsistent: {t.shape} vs {v.shape}")
+        v.setflags(write=False)
+        object.__setattr__(self, "times", _lock(t))
+        object.__setattr__(self, "values", v)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def member(self, i: int) -> Trajectory:
+        return Trajectory(self.grid, self.times, self.values[i])
+
+
 # ---------------------------------------------------------------------------
 # coupling matrices and nonlinearities
 
@@ -425,12 +453,17 @@ def check_nonlinearity(nl: Nonlinearity, samples) -> NonlinearityReport:
 # discrete operators
 
 
+def _with_boundary(v: np.ndarray) -> np.ndarray:
+    """(..., n + 2, k) copy of (..., n, k) values with the zero boundary rows."""
+    p = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1]))
+    p[..., 1:-1, :] = v
+    return p
+
+
 def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """Three-point Dirichlet Laplacian along axis -2 of (..., n, k) values."""
     v = np.asarray(values, dtype=float)
-    pad = [(0, 0)] * v.ndim
-    pad[-2] = (1, 1)
-    p = np.pad(v, pad)
+    p = _with_boundary(v)
     return (p[..., :-2, :] - 2.0 * v + p[..., 2:, :]) / h**2
 
 
@@ -525,10 +558,7 @@ def weighted_norm(u: CylinderField, p: float, slab_start: float) -> float:
 
 def grad_cells(values: np.ndarray, h: float) -> np.ndarray:
     """Forward differences on the n+1 cells of (..., n, k) values (zero boundary)."""
-    v = np.asarray(values, dtype=float)
-    pad = [(0, 0)] * v.ndim
-    pad[-2] = (1, 1)
-    p = np.pad(v, pad)
+    p = _with_boundary(np.asarray(values, dtype=float))
     return (p[..., 1:, :] - p[..., :-1, :]) / h
 
 

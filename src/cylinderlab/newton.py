@@ -31,40 +31,82 @@ class NewtonOptions:
             raise ValueError("min_step must be positive")
 
 
-def damped_newton(x0, residual, solve_step, opts: NewtonOptions):
+def damped_newton(x0, residual, solve_step, opts: NewtonOptions, batch: bool = False):
     """Run Newton with halving line search on the sup-norm of the residual.
 
     residual(x) -> array, solve_step(x, r) -> dx solving J(x) dx = -r.
     Returns (x, trace); raises NewtonDiverged with the residual trace.
+
+    With batch=True, axis 0 of x indexes independent members that share one
+    loop: each member has its own sup norm, line-search factor and
+    convergence test, and iterates exactly as it would alone.  residual and
+    solve_step then act on the whole stack; members that have converged or
+    accepted their step are passed through unchanged.  The trace is one
+    array of member norms per iteration, and a failing member raises with
+    its own trace.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    r = residual(x)
-    rn = float(np.max(np.abs(r))) if r.size else 0.0
-    trace = [rn]
-    for _ in range(opts.max_iters):
-        if rn <= opts.tol_residual:
-            return x, trace
-        dx = solve_step(x, r)
-        lam = 1.0
-        accepted = False
-        for _h in range(_MAX_HALVINGS + 1):
-            xn = x + lam * dx
-            r_new = residual(xn)
-            rn_new = float(np.max(np.abs(r_new)))
-            if np.isfinite(rn_new) and (rn_new < rn or not opts.damping):
-                accepted = True
-                break
-            lam *= 0.5
-            if lam < opts.min_step:
-                break
-        if not accepted:
-            raise NewtonDiverged(
-                f"line search stalled at residual {rn:.3e}", trace
-            )
-        x, r, rn = xn, r_new, rn_new
-        trace.append(rn)
-    if rn <= opts.tol_residual:
-        return x, trace
-    raise NewtonDiverged(
-        f"no convergence in {opts.max_iters} iterations, residual {rn:.3e}", trace
+    if batch:
+        return _newton_members(x0, residual, solve_step, opts)
+    x, history = _newton_members(
+        np.asarray(x0, dtype=float)[None],
+        lambda xs: residual(xs[0])[None],
+        lambda xs, rs: solve_step(xs[0], rs[0])[None],
+        opts,
     )
+    return x[0], [float(rn[0]) for rn in history]
+
+
+def _sup_norms(r: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(r).reshape(r.shape[0], -1), axis=1, initial=0.0)
+
+
+def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
+    x = np.array(x0, dtype=float, copy=True)
+    lead = (slice(None),) + (None,) * (x.ndim - 1)  # broadcasts a per-member value
+    r = residual(x)
+    rn = _sup_norms(r)
+    history = [rn]
+
+    def diverged(member, why):
+        trace = [float(h[member]) for h in history]
+        who = f"member {member}: " if x.shape[0] > 1 else ""
+        return NewtonDiverged(f"{who}{why} {trace[-1]:.3e}", trace)
+
+    for _ in range(opts.max_iters):
+        searching = ~(rn <= opts.tol_residual)
+        if not searching.any():
+            return x, history
+        dx = solve_step(x, r)
+        lam = np.ones(x.shape[0])
+        for _h in range(_MAX_HALVINGS + 1):
+            trial = x + lam[lead] * dx
+            if not searching.all():
+                trial = np.where(searching[lead], trial, x)
+            r_trial = residual(trial)
+            rn_trial = _sup_norms(r_trial)
+            ok = searching & np.isfinite(rn_trial)
+            if opts.damping:
+                ok &= rn_trial < rn
+            # accepted members take their step; the others keep searching
+            if ok.all():
+                x, r, rn = trial, r_trial, rn_trial
+            elif ok.any():
+                x = np.where(ok[lead], trial, x)
+                r = np.where(ok[lead], r_trial, r)
+                rn = np.where(ok, rn_trial, rn)
+            searching = searching & ~ok
+            if not searching.any():
+                break
+            lam[searching] *= 0.5
+            stalled = searching & (lam < opts.min_step)
+            if stalled.any():
+                raise diverged(int(np.argmax(stalled)), "line search stalled at residual")
+        else:
+            raise diverged(int(np.argmax(searching)), "line search stalled at residual")
+        history.append(rn)
+    failing = ~(rn <= opts.tol_residual)
+    if failing.any():
+        raise diverged(
+            int(np.argmax(failing)), f"no convergence in {opts.max_iters} iterations, residual"
+        )
+    return x, history

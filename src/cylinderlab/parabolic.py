@@ -2,6 +2,8 @@
 
 Integrates gamma u_t = a u_xx - f(u) + g(t) with backward Euler; the
 time-dependent forcing is sampled at the right endpoint of each step.
+An ensemble of initial states steps together, with one banded solve per
+Newton iteration for all of its members.
 The implicit step is the gradient flow of the discrete energy behind
 lyapunov_value, so for autonomous forcing the energy is non-increasing
 whenever dt <= 2 lambda_min(gamma) / k_mono.
@@ -11,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import AsymmetricA, MissingPotential, ShapeMismatch
+from .errors import AsymmetricA, DegenerateData, MissingPotential, ShapeMismatch
 from .forcing import Constant, Forcing, eval_forcing
 from .model import (
     CouplingMatrices,
+    Ensemble,
     Field,
     Nonlinearity,
     SpatialGrid,
@@ -40,7 +44,12 @@ class StepOptions:
 
 
 class _BandedStepper:
-    """Assembles the banded residual/Jacobian of one backward-Euler step."""
+    """Banded residual/Jacobian of one backward-Euler step for a stack of states.
+
+    States are (n, k) or (R, n, k); the Jacobian of R members is one banded
+    system of R n k rows whose blocks are decoupled, so one LAPACK call
+    solves every member exactly as it would be solved alone.
+    """
 
     def __init__(self, sgrid: SpatialGrid, mats: CouplingMatrices, nl: Nonlinearity, dt: float):
         if mats.k != nl.k:
@@ -52,37 +61,55 @@ class _BandedStepper:
         self.n = sgrid.n_interior
         self.k = mats.k
         self.hb = 2 * self.k - 1  # half bandwidth of the block-tridiagonal system
+        n, k, hb = self.n, self.k, self.hb
+        h2 = sgrid.h**2
+        # constant part of one member's band: gamma/dt + 2a/h^2 on the node
+        # blocks, -a/h^2 on the neighbor blocks; f'(v) is added per solve
+        self._diag = mats.gamma / dt + 2.0 * mats.a / h2
+        band = np.zeros((2 * hb + 1, n * k))
+        for c in range(k):
+            for cp in range(k):
+                off = mats.a[c, cp] / h2
+                band[hb + (c - cp) - k, np.arange(1, n) * k + cp] += -off  # j = i+1
+                band[hb + (c - cp) + k, np.arange(0, n - 1) * k + cp] += -off  # j = i-1
+        self._band = band
+        self._stacked = {1: band}  # member count -> block-diagonal band
 
     def residual(self, v: np.ndarray, u: np.ndarray, gval: np.ndarray) -> np.ndarray:
         lap = laplacian(v, self.sgrid.h)
         r = (
-            np.einsum("cd,nd->nc", self.mats.gamma, v - u) / self.dt
-            - np.einsum("cd,nd->nc", self.mats.a, lap)
+            np.einsum("cd,...d->...c", self.mats.gamma, v - u) / self.dt
+            - np.einsum("cd,...d->...c", self.mats.a, lap)
             + self.nl.f(v)
             - gval
         )
         return r
 
     def solve(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-        n, k, hb = self.n, self.k, self.hb
-        h2 = self.sgrid.h**2
-        N = n * k
-        ab = np.zeros((2 * hb + 1, N))
-        jac = self.nl.jac_f(v)  # (n, k, k)
+        k, hb = self.k, self.hb
+        members = r.size // self._band.shape[1]
+        if members not in self._stacked:
+            self._stacked[members] = np.tile(self._band, members)
+        ab = self._stacked[members].copy()
+        jac = self.nl.jac_f(v).reshape(-1, k, k)  # (members * n, k, k)
         for c in range(k):
             for cp in range(k):
-                diag = self.mats.gamma[c, cp] / self.dt + 2.0 * self.mats.a[c, cp] / h2
-                # same-node block rows
-                cols = np.arange(n) * k + cp
-                ab[hb + (c - cp), cols] = diag + jac[:, c, cp]
-                # neighbor blocks
-                off = self.mats.a[c, cp] / h2
-                cols_r = np.arange(1, n) * k + cp  # j = i+1
-                ab[hb + (c - cp) - k, cols_r] += -off
-                cols_l = np.arange(0, n - 1) * k + cp  # j = i-1
-                ab[hb + (c - cp) + k, cols_l] += -off
-        dx = solve_banded((hb, hb), ab, -r.ravel())
-        return dx.reshape(n, k)
+                ab[hb + (c - cp), cp::k] = self._diag[c, cp] + jac[:, c, cp]
+        # a non-finite r or f' yields a non-finite step, which the Newton
+        # line search rejects as a NewtonDiverged; no separate check needed
+        dx = solve_banded((hb, hb), ab, -r.ravel(), overwrite_ab=True, check_finite=False)
+        return dx.reshape(r.shape)
+
+
+def _initial_stack(u0) -> tuple[SpatialGrid, np.ndarray]:
+    """(grid, (R, n, k) values) of a Field or of a sequence of Fields."""
+    fields = [u0] if isinstance(u0, Field) else list(u0)
+    if not fields:
+        raise DegenerateData("an ensemble needs at least one initial state")
+    grid, k = fields[0].grid, fields[0].k
+    if any(f.grid != grid or f.k != k for f in fields):
+        raise ShapeMismatch("initial states live on different grids")
+    return grid, np.stack([f.values for f in fields])
 
 
 def implicit_step(
@@ -94,41 +121,35 @@ def implicit_step(
     g: Forcing,
 ) -> Field:
     """One backward-Euler step from time t to t + dt."""
-    stepper = _BandedStepper(u.grid, mats, nl, opts.dt)
-    gval = eval_forcing(g, t + opts.dt).values
-    u_arr = u.values
-
-    def res(v):
-        return stepper.residual(v, u_arr, gval)
-
-    def step(v, r):
-        return stepper.solve(v, r)
-
-    v, _ = damped_newton(u_arr, res, step, opts.newton)
-    return Field(u.grid, v)
+    return semigroup_evolve(u, opts.dt, opts, mats, nl, g, tau=t).field(-1)
 
 
 def semigroup_evolve(
-    u0: Field,
+    u0: Field | Sequence[Field],
     t_end: float,
     opts: StepOptions,
     mats: CouplingMatrices,
     nl: Nonlinearity,
     g: Forcing,
     tau: float = 0.0,
-) -> Trajectory:
-    """March from tau to tau + t_end, returning every step."""
+) -> Trajectory | Ensemble:
+    """March from tau to tau + t_end, returning every step.
+
+    A Field gives its Trajectory.  A sequence of Fields is stepped as one
+    ensemble: each Newton iteration is one banded solve for all members,
+    and each member's path is the one it would follow alone.
+    """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    grid, cur = _initial_stack(u0)
     if t_end == 0:
-        return Trajectory(u0.grid, np.array([tau]), u0.values[None])
-    steps = max(1, int(math.ceil(t_end / opts.dt - 1e-12)))
-    dt = t_end / steps
-    eff = StepOptions(dt=dt, newton=opts.newton)
-    stepper = _BandedStepper(u0.grid, mats, nl, dt)
-    vals = np.empty((steps + 1, u0.grid.n_interior, u0.k))
-    vals[0] = u0.values
-    cur = u0.values
+        steps, dt = 0, 0.0
+    else:
+        steps = max(1, int(math.ceil(t_end / opts.dt - 1e-12)))
+        dt = t_end / steps
+        stepper = _BandedStepper(grid, mats, nl, dt)
+    vals = np.empty((cur.shape[0], steps + 1) + cur.shape[1:])
+    vals[:, 0] = cur
     for j in range(steps):
         t_next = tau + (j + 1) * dt
         gval = eval_forcing(g, t_next).values
@@ -136,11 +157,14 @@ def semigroup_evolve(
             cur,
             lambda v, _c=cur, _g=gval: stepper.residual(v, _c, _g),
             stepper.solve,
-            eff.newton,
+            opts.newton,
+            batch=True,
         )
-        vals[j + 1] = cur
+        vals[:, j + 1] = cur
     times = tau + dt * np.arange(steps + 1)
-    return Trajectory(u0.grid, times, vals)
+    if isinstance(u0, Field):
+        return Trajectory(grid, times, vals[0])
+    return Ensemble(grid, times, vals)
 
 
 def variational_evolve(
@@ -172,12 +196,15 @@ def variational_evolve(
     return Trajectory(base.grid, base.times.copy(), vals)
 
 
-def lyapunov_value(u: Field, mats: CouplingMatrices, nl: Nonlinearity, gbar: Field) -> float:
+def lyapunov_value(
+    u: Field | Trajectory, mats: CouplingMatrices, nl: Nonlinearity, gbar: Field
+) -> float | np.ndarray:
     """Energy integral a grad u . grad u + 2 F(u) + 2 gbar . u over omega.
 
     Gradient term by the cell midpoint rule, the rest by trapezoid; this is
     exactly twice the discrete energy whose gradient flow the implicit step
-    integrates.
+    gamma u_t = a u_xx - f(u) - gbar integrates, so a flow forced by +g
+    takes gbar = -g.  A Trajectory gives the energy of every slice.
     """
     if nl.potential_F is None:
         raise MissingPotential(f"nonlinearity {nl.name} has no potential")
@@ -186,14 +213,16 @@ def lyapunov_value(u: Field, mats: CouplingMatrices, nl: Nonlinearity, gbar: Fie
     if u.grid != gbar.grid or u.k != gbar.k:
         raise ShapeMismatch("gbar does not match u")
     h = u.grid.h
-    d = grad_cells(u.values, h)
-    grad_term = float(np.einsum("nc,cd,nd->", d, mats.a, d)) * h
+    v = u.values
+    d = grad_cells(v, h)
+    grad_term = np.einsum("...nc,cd,...nd->...", d, mats.a, d) * h
     zero = np.zeros((1, u.k))
-    f_interior = float(np.sum(nl.potential_F(u.values)))
+    f_interior = np.sum(nl.potential_F(v), axis=-1)
     f_boundary = float(nl.potential_F(zero)[0])  # both endpoints at half weight
     pot_term = 2.0 * h * (f_interior + f_boundary)
-    force_term = 2.0 * h * float(np.sum(gbar.values * u.values))
-    return grad_term + pot_term + force_term
+    force_term = 2.0 * h * np.sum(gbar.values * v, axis=(-2, -1))
+    energy = grad_term + pot_term + force_term
+    return float(energy) if isinstance(u, Field) else energy
 
 
 @dataclass(frozen=True)
@@ -219,14 +248,21 @@ class LimitContext:
         traj = semigroup_evolve(u0, t - tau, self.step, self.mats, self.nl, self.forcing, tau=tau)
         return traj.field(-1)
 
-    def evolve(self, u0: Field, tau: float, t_end: float, stride: float) -> Trajectory:
-        """Forward evolution keeping slices every `stride` time units."""
+    def evolve(
+        self, u0: Field | Sequence[Field], tau: float, t_end: float, stride: float
+    ) -> Trajectory | Ensemble:
+        """Forward evolution keeping slices every `stride` time units.
+
+        A sequence of initial Fields evolves as one ensemble.
+        """
         traj = semigroup_evolve(u0, t_end, self.step, self.mats, self.nl, self.forcing, tau=tau)
         dt = float(traj.times[1] - traj.times[0]) if traj.times.shape[0] > 1 else stride
         every = max(1, int(round(stride / dt)))
         idx = np.arange(0, traj.times.shape[0], every)
         if idx[-1] != traj.times.shape[0] - 1:
             idx = np.append(idx, traj.times.shape[0] - 1)
+        if isinstance(traj, Ensemble):
+            return Ensemble(traj.grid, traj.times[idx], traj.values[:, idx])
         return Trajectory(traj.grid, traj.times[idx], traj.values[idx])
 
 

@@ -265,23 +265,17 @@ def _exp_lyapunov(config: ExperimentConfig, report: Report):
     dt = float(p.get("dt", 1e-3))
     amp = float(p.get("amplitude", 1.0))
     tol = float(config.tolerances.get("max_increase", 1e-8))
-    streams = np.random.SeedSequence(config.seed).spawn(n_traj)
-
-    def cell(stream):
+    starts = []
+    for stream in np.random.SeedSequence(config.seed).spawn(n_traj):
         rng = np.random.default_rng(stream)
         coeffs = amp * rng.standard_normal((4, mats.k)) / (1.0 + np.arange(4.0))[:, None] ** 2
-        u0 = sine_field(grid, coeffs, k=mats.k)
-        traj = semigroup_evolve(u0, t_end, StepOptions(dt=dt), mats, nl, g)
-        vals = [
-            lyapunov_value(traj.field(j), mats, nl, gbar)
-            for j in range(traj.times.shape[0])
-        ]
-        ell = np.array(vals)
-        return float(ell[0]), float(ell[-1]), float(np.diff(ell).max())
-
-    results = _pmap(cell, [(s,) for s in streams])
+        starts.append(sine_field(grid, coeffs, k=mats.k))
+    ensemble = semigroup_evolve(starts, t_end, StepOptions(dt=dt), mats, nl, g)
     table = report.table("trajectories", ["trajectory", "l_start", "l_end", "max_increase"])
-    for i, (l0, l1, inc) in enumerate(results):
+    for i in range(len(ensemble)):
+        # the energy of the flow forced by +g carries -gbar
+        ell = lyapunov_value(ensemble.member(i), mats, nl, -gbar)
+        l0, l1, inc = float(ell[0]), float(ell[-1]), float(np.diff(ell).max())
         row = table.add(i, l0, l1, inc)
         report.verdict(
             f"monotone-trajectory-{i}", inc <= tol, table, row,
@@ -302,7 +296,7 @@ def _exp_structure(config: ExperimentConfig, report: Report):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)
     lctx = LimitContext(grid, mats, nl, Constant(gbar))
-    lvals = [lyapunov_value(rec.z, mats, nl, gbar) for rec in records]
+    lvals = [lyapunov_value(rec.z, mats, nl, -gbar) for rec in records]  # flow forced by +gbar
 
     eq_table = report.table("equilibria", ["root", "l2", "index", "lyapunov"])
     for j, rec in enumerate(records):
@@ -324,11 +318,10 @@ def _exp_structure(config: ExperimentConfig, report: Report):
         for d in dirs:
             seeds.append((j, rec.z.values + radius * d.reshape(grid.n_interior, mats.k)))
 
-    def cell(source, seed_vals):
-        traj = lctx.evolve(Field(grid, seed_vals), 0.0, t_grow, stride)
-        return heteroclinic_classify(traj, records, tol=tol)
-
-    reps = _pmap(cell, seeds)
+    reps = []
+    if seeds:
+        rays = lctx.evolve([Field(grid, v) for _, v in seeds], 0.0, t_grow, stride)
+        reps = [heteroclinic_classify(rays.member(i), records, tol=tol) for i in range(len(rays))]
     table = report.table(
         "heteroclinics",
         ["source", "ray", "alpha", "omega", "l_alpha", "l_omega", "distinct"],
@@ -486,7 +479,10 @@ def _exp_distance_sweep(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = _forcing_of(config, grid, mats.k)
     ctx = _context(config, grid, mats, nl, g, eps=float(config.eps_list[0]))
-    sweep = attractor_distance_experiment(config.eps_list, g, ctx, _cloud_params(config.params))
+    sweep = attractor_distance_experiment(
+        config.eps_list, g, ctx, _cloud_params(config.params),
+        rng=np.random.default_rng(np.random.SeedSequence(config.seed)),
+    )
 
     fit = {"slope": sweep.fit.slope, "intercept": sweep.fit.intercept} if sweep.fit else None
     table = report.table("distances", ["eps", "symmetric_dist"], fit=fit)
@@ -521,6 +517,7 @@ def _exp_attractor_mean(config: ExperimentConfig, report: Report):
         _cloud_params(p),
         mean_tol=float(p.get("mean_tol", 1e-2)),
         window0=float(p.get("window0", 32.0)),
+        rng=np.random.default_rng(np.random.SeedSequence(config.seed)),
     )
 
     mean_table = report.table("mean", ["gbar_l2", "cloud_resolution"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -543,3 +544,46 @@ def test_distance_sweep_zero_forcing_rate(grid32, scalar_mats):
     assert sweep.fit is not None and sweep.fit.slope >= 0.9
     assert sweep.fit.max_residual <= 0.25
     assert all(d > 0 for _, d in sweep.rows)
+
+
+@pytest.mark.parametrize("kind", ["distance-sweep", "attractor-mean"])
+def test_limit_census_is_seeded_from_the_config(tmp_path, monkeypatch, kind):
+    # the limit census draws its random seeds from the config seed, so two
+    # runs see the same generator state and find the same equilibria
+    from cylinderlab import dynamics, load_config, run
+
+    calls = []
+    census_fn = dynamics.find_equilibria
+
+    def spy(*args, rng=None, **kwargs):
+        state = None if rng is None else rng.bit_generator.state
+        records = census_fn(*args, rng=rng, **kwargs)
+        calls.append((state, [(r.index, r.z.values.tobytes()) for r in records]))
+        return records
+
+    monkeypatch.setattr(dynamics, "find_equilibria", spy)
+    cfg = {
+        "version": 1,
+        "kind": "attractor" if kind == "distance-sweep" else "average",
+        "experiment": kind,
+        "problem": {"length": PI, "n_interior": 16, "nonlinearity": {"id": "cubic", "lam": 2.0}},
+        "forcing": {
+            "type": "periodic",
+            "mean": {"kind": "sine", "coeffs": [0.0]},
+            "osc": {"kind": "sine", "coeffs": [0.5]},
+            "omega": 6.283185307179586,
+        },
+        "eps_list": [0.6, 0.45, 0.3],
+        "params": {"radius": 0.25, "n_rays": 2, "t_grow": 0.5},
+        "seed": 4,
+        "out_dir": str(tmp_path / "out"),
+    }
+    if kind == "attractor-mean":
+        cfg["params"]["window0"] = 1.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for _ in range(2):
+        run(load_config(str(path)), fixed_clock=True)
+    assert len(calls) == 2
+    assert calls[0][0] is not None
+    assert calls[0] == calls[1]

@@ -390,6 +390,26 @@ def test_grad_cells_constant_slope(grid32):
     np.testing.assert_allclose(g[1:-1], 0.0, atol=1e-14)
 
 
+def _padded(v):
+    pad = [(0, 0)] * v.ndim
+    pad[-2] = (1, 1)
+    return np.pad(v, pad)
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (5, 40, 1), (3, 4, 40, 2), (2, 1, 3)])
+def test_operators_match_padded_reference_bit_for_bit(shape):
+    # reference: the np.pad formulation of the two stencils
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(shape)
+    v[..., 0, :] = -0.0  # signed zeros next to the boundary must survive too
+    h = 0.0736
+    p = _padded(v)
+    lap_ref = (p[..., :-2, :] - 2.0 * v + p[..., 2:, :]) / h**2
+    grad_ref = (p[..., 1:, :] - p[..., :-1, :]) / h
+    assert laplacian(v, h).tobytes() == lap_ref.tobytes()
+    assert grad_cells(v, h).tobytes() == grad_ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # resolvent symbol
 

@@ -1,15 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import cylinderlab.parabolic as parabolic
 from cylinderlab import (
     AsymmetricA,
     Constant,
     CouplingMatrices,
+    DegenerateData,
+    Ensemble,
     Field,
     LimitContext,
     MissingPotential,
+    NewtonDiverged,
+    NewtonOptions,
     Nonlinearity,
     Periodic,
     ShapeMismatch,
@@ -26,6 +32,9 @@ from cylinderlab import (
     variational_evolve,
     zero_nonlinearity,
 )
+from cylinderlab.config import load_config
+from cylinderlab.reports import report_json
+from cylinderlab.runner import run
 from conftest import PI, disc_eig
 
 
@@ -69,6 +78,22 @@ def test_step_first_order_consistency(grid48, scalar_mats, chafee2):
     errs = [(final(dt) - ref).l2() for dt in (2e-2, 1e-2)]
     assert errs[1] <= errs[0] * 0.65  # halving dt roughly halves the error
     assert errs[1] >= errs[0] * 0.35
+
+
+def test_backward_euler_first_order_exact_mode(grid64, scalar_mats):
+    # linear f(u) = u keeps the discrete sine mode: the semi-discrete flow
+    # decays it like exp(-(lambda_h + 1) t), so the error at t = 1 is the
+    # time discretization error alone and must shrink at first order
+    nl = linear_nonlinearity(1.0)
+    u0 = sine_field(grid64, [1.0])
+    g = Constant(Field.zeros(grid64))
+    exact = math.exp(-(disc_eig(grid64, 1) + 1.0)) * u0.values
+    errs = []
+    for dt in (0.02, 0.01, 0.005):
+        traj = semigroup_evolve(u0, 1.0, StepOptions(dt=dt), scalar_mats, nl, g)
+        errs.append(math.sqrt(grid64.h * float(np.sum((traj.values[-1] - exact) ** 2))))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(0.9 <= q <= 1.1 for q in orders), orders
 
 
 def test_semigroup_zero_span(grid32, scalar_mats, chafee2):
@@ -253,3 +278,150 @@ def test_limit_context_periodic_forcing(grid32, scalar_mats):
     coeff = (tail[:, :, 0] @ np.sin(grid32.nodes)) * grid32.h / (PI / 2)
     amp_got = 0.5 * (coeff.max() - coeff.min())
     assert amp_got == pytest.approx(amp_expect, rel=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# ensembles
+
+
+def _arctan_nl(scale):
+    """f(v) = scale atan(v): Newton overshoots far from the root."""
+
+    def jac(v):
+        return (scale / (1.0 + np.asarray(v, dtype=float) ** 2))[..., None]
+
+    return Nonlinearity(1, lambda v: scale * np.arctan(v), jac, 0.0, 0.0, 1.0, name="atan")
+
+
+def _newton_work(monkeypatch):
+    """Spy on the stepper's Newton calls: (iterations, halvings) per call."""
+    calls = []
+    inner = parabolic.damped_newton
+
+    def spy(x0, residual, solve_step, opts, batch=False):
+        evals = [0]
+
+        def counted(x):
+            evals[0] += 1
+            return residual(x)
+
+        x, trace = inner(x0, counted, solve_step, opts, batch=batch)
+        calls.append((len(trace) - 1, evals[0] - len(trace)))
+        return x, trace
+
+    monkeypatch.setattr(parabolic, "damped_newton", spy)
+    return calls
+
+
+def test_ensemble_members_match_solo_runs(grid32, scalar_mats, monkeypatch):
+    nl = _arctan_nl(100.0)
+    opts = StepOptions(dt=0.1)
+    g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 2.0)
+    starts = [sine_field(grid32, [20.0]), sine_field(grid32, [1e-3]), sine_field(grid32, [0.0, 5.0])]
+    calls = _newton_work(monkeypatch)
+    solos = []
+    work = []
+    for u0 in starts:
+        calls.clear()
+        solos.append(semigroup_evolve(u0, 0.5, opts, scalar_mats, nl, g, tau=0.3))
+        work.append((sum(i for i, _ in calls), sum(h for _, h in calls)))
+    # the first member needs line-search halvings, the second converges faster
+    assert work[0][1] > 0
+    assert work[1][0] < work[0][0]
+
+    ens = semigroup_evolve(starts, 0.5, opts, scalar_mats, nl, g, tau=0.3)
+    assert isinstance(ens, Ensemble) and len(ens) == 3
+    for i, solo in enumerate(solos):
+        member = ens.member(i)
+        np.testing.assert_array_equal(member.times, solo.times)
+        scale = np.max(np.abs(solo.values))
+        assert np.max(np.abs(member.values - solo.values)) <= 1e-14 * scale
+        assert member.values.tobytes() == solo.values.tobytes()
+
+
+def test_ensemble_member_divergence_raises_with_trace(grid32, scalar_mats):
+    nl = _arctan_nl(100.0)
+    opts = StepOptions(dt=0.1, newton=NewtonOptions(max_iters=3))
+    g = Constant(Field.zeros(grid32))
+    starts = [Field.zeros(grid32), sine_field(grid32, [20.0])]
+    with pytest.raises(NewtonDiverged) as ei:
+        semigroup_evolve(starts, 0.1, opts, scalar_mats, nl, g)
+    trace = ei.value.trace
+    assert "member 1" in str(ei.value)
+    assert len(trace) == 4  # entry residual plus the three allowed iterations
+    assert trace[0] > 1.0 and all(v >= 0 for v in trace)
+
+
+def test_overflowing_state_raises_newton_diverged(grid32, scalar_mats, chafee2):
+    # f(u) overflows: the non-finite Newton step is rejected by the line
+    # search and surfaces as a typed error, not as a failed input check
+    u0 = sine_field(grid32, [1e120])
+    with pytest.raises(NewtonDiverged), np.errstate(over="ignore", invalid="ignore"):
+        semigroup_evolve(u0, 0.01, StepOptions(dt=0.01), scalar_mats, chafee2,
+                         Constant(Field.zeros(grid32)))
+
+
+def test_empty_ensemble_is_a_typed_error(tmp_path, configs_dir, grid32, scalar_mats, chafee2):
+    with pytest.raises(DegenerateData):
+        semigroup_evolve([], 1.0, StepOptions(), scalar_mats, chafee2, Constant(Field.zeros(grid32)))
+    # the runner turns it into a failed verdict instead of a crash
+    cfg = json.loads((configs_dir / "c05-lyapunov.json").read_text())
+    cfg["params"]["n_trajectories"] = 0
+    path = tmp_path / "c05.json"
+    path.write_text(json.dumps(cfg))
+    report = run(load_config(str(path)), fixed_clock=True)
+    assert [v.name for v in report.verdicts] == ["completed"]
+    assert not report.all_pass
+
+
+def test_limit_context_evolves_ensembles(grid32, scalar_mats, chafee2):
+    ctx = limit_context_from_mean(
+        grid32, scalar_mats, chafee2, Field.zeros(grid32), StepOptions(dt=1e-2)
+    )
+    starts = [sine_field(grid32, [0.5]), sine_field(grid32, [-0.2, 0.3])]
+    ens = ctx.evolve(starts, 0.0, 1.0, stride=0.25)
+    np.testing.assert_allclose(ens.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+    for u0, i in zip(starts, range(len(ens))):
+        solo = ctx.evolve(u0, 0.0, 1.0, stride=0.25)
+        assert ens.member(i).values.tobytes() == solo.values.tobytes()
+
+
+def test_lyapunov_of_trajectory_matches_slices(grid48, scalar_mats, chafee2):
+    gbar = sine_field(grid48, [0.3, 0.1])
+    traj = semigroup_evolve(
+        sine_field(grid48, [0.9, -0.4]), 0.2, StepOptions(dt=1e-2), scalar_mats, chafee2,
+        Constant(-gbar),
+    )
+    whole = lyapunov_value(traj, scalar_mats, chafee2, gbar)
+    slices = [lyapunov_value(traj.field(j), scalar_mats, chafee2, gbar) for j in range(21)]
+    assert whole.shape == (21,)
+    np.testing.assert_allclose(whole, slices, rtol=1e-14, atol=0.0)
+
+
+def _c05_config(tmp_path, configs_dir, forcing):
+    cfg = json.loads((configs_dir / "c05-lyapunov.json").read_text())
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["params"]["n_trajectories"] = 3
+    cfg["forcing"] = forcing
+    path = tmp_path / "c05.json"
+    path.write_text(json.dumps(cfg))
+    return load_config(str(path))
+
+
+def test_forced_lyapunov_is_monotone(tmp_path, configs_dir):
+    # a constant forcing g enters the energy as -g; with the wrong sign the
+    # energy of these flows rises by about 3e-3 per step
+    forcing = {"type": "constant", "mean": {"kind": "sine", "coeffs": [1.0]}}
+    report = run(_c05_config(tmp_path, configs_dir, forcing), fixed_clock=True)
+    increases = [row[3] for row in report.tables[0].rows]
+    assert report.all_pass, [v.detail for v in report.verdicts if not v.passed]
+    assert max(increases) < 0.0
+
+
+def test_c13_report_is_identical_across_thread_counts(configs_dir, monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LAB_THREADS", threads)
+        reports.append(report_json(run(load_config(configs_dir / "c13-determinism.json"),
+                                       fixed_clock=True)))
+    assert reports[0] == reports[1]
