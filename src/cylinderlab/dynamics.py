@@ -18,7 +18,13 @@ import scipy.linalg
 from scipy.optimize import newton_krylov
 from scipy.spatial.distance import cdist
 
-from .elliptic import ProcessContext, default_dt, solve_truncated_bvp
+from .elliptic import (
+    ProcessContext,
+    _limit_context,
+    _window_grid,
+    default_dt,
+    solve_truncated_bvp,
+)
 from .errors import (
     AverageNotConverged,
     EigenFailure,
@@ -37,12 +43,11 @@ from .forcing import (
     finest_scale,
     forcing_mean,
     forcing_period,
-    negate_forcing,
     time_average,
 )
 from .model import CouplingMatrices, CylinderGrid, Field, Nonlinearity, Trajectory, sine_field
 from .newton import NewtonOptions, damped_newton
-from .parabolic import LimitContext, StepOptions, _BandedStepper
+from .parabolic import LimitContext, _BandedStepper
 
 try:  # scipy >= 1.10 exports it at the top level
     from scipy.optimize import NoConvergence
@@ -491,11 +496,7 @@ def trajectory_vs_limit(
         times = np.arange(0.0, t_end + stride / 2, stride)
         return GapSeries(0.0, times, np.zeros_like(times))
     ectx = _eps_context(context, _eps_forcing(g, eps), eps)
-    gbar = forcing_mean(g)
-    lctx = LimitContext(
-        context.sgrid, context.mats, context.nl, Constant(-gbar),
-        StepOptions(dt=default_dt(0.0), newton=context.opts),
-    )
+    lctx = _mean_limit(context, forcing_mean(g))
     et = ectx.evolve(u0, 0.0, t_end, stride)
     lt = lctx.evolve(u0, 0.0, t_end, stride)
     if et.times.shape != lt.times.shape or np.max(np.abs(et.times - lt.times)) > 1e-9:
@@ -598,13 +599,11 @@ def track_periodic_solution(
 
     p_eff = period if period > 0 else 1.0
     if eps > 0:
-        dt = p_eff / math.ceil(p_eff / ectx.dt_target - 1e-12)
-        span = int(round(p_eff / dt))
-        m = span + int(math.ceil(ectx.margin / dt - 1e-12))
+        dt, span, margin_steps = _window_grid(p_eff, ectx.dt_target, ectx.margin)
+        m = span + margin_steps
         cgrid = CylinderGrid(0.0, m * dt, m, eps)
     else:
-        dt = ectx.dt_target
-        span = int(math.ceil(p_eff / dt - 1e-12))
+        _, span, _ = _window_grid(p_eff, ectx.dt_target, 0.0)
         cgrid = CylinderGrid(0.0, p_eff, span, 0.0)
     state = {"guess": None}
 
@@ -675,18 +674,35 @@ def _eps_context(context: ProcessContext, g: Forcing, eps: float) -> ProcessCont
     return replace(context, eps=eps, forcing=g, dt=dt)
 
 
-def _limit_records_and_cloud(
-    gbar: Field, context: ProcessContext, params: CloudParams, rng=None
-) -> tuple[list[EquilibriumRecord], PointCloud, LimitContext]:
+def _mean_limit(context: ProcessContext, gbar: Field) -> LimitContext:
+    """Limit flow of the process driven by the mean gbar (elliptic convention)."""
+    return _limit_context(replace(context, eps=0.0, forcing=Constant(gbar), dt=None))
+
+
+def _sweep_against_limit(
+    eps_list: list[float],
+    g: Forcing,
+    gbar: Field,
+    context: ProcessContext,
+    params: CloudParams,
+    rng,
+) -> tuple[tuple, bool, PointCloud]:
+    """(eps, symmetric distance) rows of each eps-cloud against the cloud of
+    the limit flow driven by gbar, whether they fall strictly, and that
+    limit cloud.  Every limit equilibrium must be hyperbolic."""
     records = find_equilibria(context.mats, context.nl, -gbar, rng=rng)
     if not all(r.hyperbolic for r in records):
         gaps = [r.gap_nu for r in records if not r.hyperbolic]
         raise NonHyperbolicLimit(
             f"limit equilibria with spectral gap {min(gaps):.3e} below {NU_MIN:.0e}"
         )
-    lctx = LimitContext(context.sgrid, context.mats, context.nl, Constant(-gbar))
-    cloud = sample_attractor(lctx, records, params)
-    return records, cloud, lctx
+    limit_cloud = sample_attractor(_mean_limit(context, gbar), records, params)
+    rows = []
+    for eps in eps_list:
+        ectx = _eps_context(context, _eps_forcing(g, eps), eps)
+        rows.append((eps, symmetric_dist(sample_attractor(ectx, records, params), limit_cloud)))
+    monotone = all(b < a for (_, a), (_, b) in zip(rows, rows[1:]))
+    return tuple(rows), monotone, limit_cloud
 
 
 def attractor_distance_experiment(
@@ -705,17 +721,9 @@ def attractor_distance_experiment(
     eps_arr = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_arr):
         raise ValueError("eps sweep must be strictly positive")
-    gbar = forcing_mean(g)
-    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params, rng)
-    rows = []
-    for eps in eps_arr:
-        ectx = _eps_context(context, _eps_forcing(g, eps), eps)
-        cloud = sample_attractor(ectx, records, params)
-        rows.append((eps, symmetric_dist(cloud, limit_cloud)))
-    dists = [d for _, d in rows]
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
-    fit = rate_fit(eps_arr, dists) if len(rows) >= 3 else None
-    return DistanceSweep(tuple(rows), fit, monotone)
+    rows, monotone, _ = _sweep_against_limit(eps_arr, g, forcing_mean(g), context, params, rng)
+    fit = rate_fit(eps_arr, [d for _, d in rows]) if len(rows) >= 3 else None
+    return DistanceSweep(rows, fit, monotone)
 
 
 def averaging_experiment(
@@ -749,12 +757,7 @@ def averaging_experiment(
         raise AverageNotConverged(
             f"window average still moving after {max_doublings} doublings"
         )
-    records, limit_cloud, _ = _limit_records_and_cloud(gbar, context, params, rng)
-    rows = []
-    for eps in eps_list:
-        ectx = _eps_context(context, _eps_forcing(g, float(eps)), float(eps))
-        cloud = sample_attractor(ectx, records, params)
-        rows.append((float(eps), symmetric_dist(cloud, limit_cloud)))
-    dists = [d for _, d in rows]
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
-    return AveragingResult(gbar, tuple(rows), monotone, cloud_resolution(limit_cloud))
+    rows, monotone, limit_cloud = _sweep_against_limit(
+        [float(e) for e in eps_list], g, gbar, context, params, rng
+    )
+    return AveragingResult(gbar, rows, monotone, cloud_resolution(limit_cloud))

@@ -7,9 +7,10 @@ sparse block-tridiagonal system; the Jacobian is refactorized per Newton
 step with a sparse direct solver.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
-initial-value problem; solves delegate to the backward-Euler march of the
-parabolic module (with the forcing sign flipped: the elliptic convention
-puts g on the right-hand side, the parabolic one adds it).
+initial-value problem; every eps = 0 call goes through the parabolic
+LimitContext built by _limit_context (with the forcing sign flipped: the
+elliptic convention puts g on the right-hand side, the parabolic one adds
+it).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     zero_nonlinearity,
 )
 from .newton import NewtonOptions, damped_newton
-from .parabolic import StepOptions, semigroup_evolve, variational_evolve
+from .parabolic import LimitContext, StepOptions, variational_evolve
 
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
@@ -161,36 +162,35 @@ class _SpaceTimeSystem:
         r3[1 : self.m] -= self.nl.f(v[1 : self.m])
         return r
 
-    def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        v = u.reshape(self.shape3)
+    def jacobian(self, values: np.ndarray) -> sp.csc_matrix:
+        """Linear part minus the f' blocks evaluated on the PDE slices of values."""
+        v = values.reshape(self.shape3)
         vals = self.nl.jac_f(v[1 : self.m]).ravel()
-        nuk = (self.m + 1) * self.n * self.k
+        nuk = self.lin.shape[0]
         bump = sp.coo_matrix((vals, (self._jac_rows, self._jac_cols)), shape=(nuk, nuk))
-        jac = (self.lin - bump).tocsc()
-        try:
-            lu = splu(jac)
-        except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        dx = lu.solve(-r)
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobian("linear solve produced non-finite values")
-        return dx
+        return (self.lin - bump).tocsc()
+
+    def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return _factor_solve(self.jacobian(u), -r)
 
 
-def _march_parabolic(
-    sgrid: SpatialGrid,
-    cgrid: CylinderGrid,
-    mats: CouplingMatrices,
-    nl: Nonlinearity,
-    g: Forcing,
-    u_tau: Field,
-    opts: NewtonOptions,
-) -> CylinderField:
-    step = StepOptions(dt=cgrid.dt, newton=opts)
-    traj = semigroup_evolve(
-        u_tau, cgrid.t_len, step, mats, nl, negate_forcing(g), tau=cgrid.tau
-    )
-    return CylinderField(sgrid, cgrid, traj.values)
+def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Sparse LU solve of jac x = rhs; failures surface as SingularJacobian."""
+    try:
+        lu = splu(jac)
+    except RuntimeError as exc:
+        raise SingularJacobian(str(exc)) from exc
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise SingularJacobian("linear solve produced non-finite values")
+    return x
+
+
+def _window_grid(span: float, dt_target: float, margin: float) -> tuple[float, int, int]:
+    """(dt, span steps, margin steps): the largest dt <= dt_target that
+    divides span, and the whole steps covering span and at least margin."""
+    dt = span / math.ceil(span / dt_target - 1e-12)
+    return dt, int(round(span / dt)), int(math.ceil(margin / dt - 1e-12))
 
 
 def solve_truncated_bvp(
@@ -211,7 +211,9 @@ def solve_truncated_bvp(
     """
     opts = opts or NewtonOptions()
     if cgrid.eps == 0.0:
-        return _march_parabolic(sgrid, cgrid, mats, nl, g, u_tau, opts)
+        limit = _limit_context(ProcessContext(sgrid, mats, nl, g, 0.0, opts=opts, dt=cgrid.dt))
+        traj = limit.evolve(u_tau, cgrid.tau, cgrid.t_len, cgrid.dt)
+        return CylinderField(sgrid, cgrid, traj.values)
     system = _SpaceTimeSystem(sgrid, cgrid, mats, nl, g, u_tau, far)
     if guess is None:
         u0 = np.broadcast_to(u_tau.values, system.shape3).ravel().copy()
@@ -262,16 +264,7 @@ class ProcessContext:
         which keeps Newton at one or two steps once transients decay.
         """
         if self.eps == 0.0:
-            step = StepOptions(dt=self.dt_target, newton=self.opts)
-            traj = semigroup_evolve(
-                u0, t_end, step, self.mats, self.nl, negate_forcing(self.forcing), tau=tau
-            )
-            dt = float(traj.times[1] - traj.times[0]) if traj.times.shape[0] > 1 else stride
-            every = max(1, int(round(stride / dt)))
-            idx = np.arange(0, traj.times.shape[0], every)
-            if idx[-1] != traj.times.shape[0] - 1:
-                idx = np.append(idx, traj.times.shape[0] - 1)
-            return Trajectory(traj.grid, traj.times[idx], traj.values[idx])
+            return _limit_context(self).evolve(u0, tau, t_end, stride)
 
         if not stride > 0:
             raise ValueError("stride must be positive")
@@ -282,9 +275,7 @@ class ProcessContext:
         if abs(n_strides - round(n_strides)) > 1e-9:
             raise ValueError("t_end must be a multiple of stride")
         n_strides = int(round(n_strides))
-        dt = stride / math.ceil(stride / self.dt_target - 1e-12)
-        spw = int(round(stride / dt))
-        margin_steps = int(math.ceil(self.margin / dt - 1e-12))
+        dt, spw, margin_steps = _window_grid(stride, self.dt_target, self.margin)
 
         times = [tau]
         slices = [u0.values]
@@ -315,6 +306,18 @@ class ProcessContext:
         return Trajectory(self.sgrid, np.array(times), np.stack(slices))
 
 
+def _limit_context(context: ProcessContext) -> LimitContext:
+    """The eps = 0 process as the limit semigroup, stepping at dt_target.
+
+    The elliptic convention puts g on the right-hand side and the parabolic
+    one adds it, so the limit flow is driven by -g.
+    """
+    step = StepOptions(dt=context.dt_target, newton=context.opts)
+    return LimitContext(
+        context.sgrid, context.mats, context.nl, negate_forcing(context.forcing), step
+    )
+
+
 def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> Field:
     """Slice at time t of the solving process started from u_tau at tau.
 
@@ -326,16 +329,9 @@ def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> 
     if t == tau:
         return u_tau
     if context.eps == 0.0:
-        step = StepOptions(dt=context.dt_target, newton=context.opts)
-        traj = semigroup_evolve(
-            u_tau, t - tau, step, context.mats, context.nl,
-            negate_forcing(context.forcing), tau=tau,
-        )
-        return traj.field(-1)
-    span = t - tau
-    dt = span / math.ceil(span / context.dt_target - 1e-12)
-    span_steps = int(round(span / dt))
-    m = span_steps + int(math.ceil(context.margin / dt - 1e-12))
+        return _limit_context(context).map(u_tau, tau, t)
+    dt, span_steps, margin_steps = _window_grid(t - tau, context.dt_target, context.margin)
+    m = span_steps + margin_steps
     cgrid = CylinderGrid(tau, m * dt, m, context.eps)
     u = solve_truncated_bvp(
         context.sgrid, cgrid, context.mats, context.nl, context.forcing, u_tau,
@@ -368,34 +364,10 @@ def variational_process(
     zero_g = Constant(Field.zeros(base.sgrid, base.k))
     system = _SpaceTimeSystem(base.sgrid, base.cgrid, mats, nl, zero_g, xi, far)
     # rows are linear with Jacobian evaluated on the base solution
-    jac_vals = nl.jac_f(base.values[1 : base.cgrid.m_steps]).ravel()
-    nuk = (base.cgrid.m_steps + 1) * base.sgrid.n_interior * base.k
-    bump = sp.coo_matrix(
-        (jac_vals, (system._jac_rows, system._jac_cols)), shape=(nuk, nuk)
-    )
-    jac = (system.lin - bump).tocsc()
     rhs = np.zeros(system.shape3)
     rhs[0] = xi.values
-    try:
-        lu = splu(jac)
-    except RuntimeError as exc:
-        raise SingularJacobian(str(exc)) from exc
-    v = lu.solve(rhs.ravel())
-    if not np.all(np.isfinite(v)):
-        raise SingularJacobian("linear solve produced non-finite values")
+    v = _factor_solve(system.jacobian(base.values), rhs.ravel())
     return CylinderField(base.sgrid, base.cgrid, v.reshape(system.shape3))
-
-
-def discrete_cascade(l: int, m: int, u_m: Field, context: ProcessContext) -> Field:
-    """Iterate the process over unit time steps from slice m to slice l."""
-    if int(l) != l or int(m) != m:
-        raise ValueError("cascade indices must be integers")
-    if l < m:
-        raise ValueError("l must be >= m")
-    u = u_m
-    for j in range(int(m), int(l)):
-        u = context.map(u, float(j), float(j + 1))
-    return u
 
 
 _SLAB_STARTS = (0.0, 1.0, 2.0)
@@ -418,8 +390,8 @@ def regularity_probe(eps_list, h: Forcing, u0: Field, context: ProcessContext):
         raise DegenerateData("u0 and h both vanish")
     rows = []
     for eps in eps_list:
-        dt = 1.0 / math.ceil(1.0 / default_dt(eps) - 1e-12)
-        m = int(round(t_len / dt))
+        _, unit_steps, margin_steps = _window_grid(1.0, default_dt(eps), context.margin)
+        m = len(_SLAB_STARTS) * unit_steps + margin_steps
         cgrid = CylinderGrid(0.0, t_len, m, float(eps))
         u = solve_truncated_bvp(
             context.sgrid, cgrid, context.mats, zero_f, h, u0,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AsymmetricA, DegenerateData, MissingPotential, ShapeMismatch
-from .forcing import Constant, Forcing, eval_forcing
+from .forcing import Forcing, eval_forcing
 from .model import (
     CouplingMatrices,
     Ensemble,
@@ -110,18 +110,6 @@ def _initial_stack(u0) -> tuple[SpatialGrid, np.ndarray]:
     if any(f.grid != grid or f.k != k for f in fields):
         raise ShapeMismatch("initial states live on different grids")
     return grid, np.stack([f.values for f in fields])
-
-
-def implicit_step(
-    u: Field,
-    t: float,
-    opts: StepOptions,
-    mats: CouplingMatrices,
-    nl: Nonlinearity,
-    g: Forcing,
-) -> Field:
-    """One backward-Euler step from time t to t + dt."""
-    return semigroup_evolve(u, opts.dt, opts, mats, nl, g, tau=t).field(-1)
 
 
 def semigroup_evolve(
@@ -265,13 +253,3 @@ class LimitContext:
             return Ensemble(traj.grid, traj.times[idx], traj.values[:, idx])
         return Trajectory(traj.grid, traj.times[idx], traj.values[idx])
 
-
-def limit_context_from_mean(
-    sgrid: SpatialGrid,
-    mats: CouplingMatrices,
-    nl: Nonlinearity,
-    gbar: Field,
-    step: StepOptions = StepOptions(),
-) -> LimitContext:
-    """Limit dynamics driven by the averaged forcing gbar."""
-    return LimitContext(sgrid, mats, nl, Constant(gbar), step)

@@ -3,10 +3,11 @@
 Conventions: the solve-elliptic, converge, attractor and average kinds read
 the config forcing in the elliptic orientation (profiles are wrapped as
 FastScaled(g, eps) per sweep point); solve-parabolic and equilibria read it
-as the parabolic right-hand side directly.  Library errors surface as a
-failed "completed" verdict, never as a crash.  Independent sweep cells run
-on a thread pool capped by the LAB_THREADS environment variable, gathered
-in submission order so results do not depend on scheduling.
+as the parabolic right-hand side directly.  Any error an experiment raises
+(a library error or a bad params value) surfaces as a failed "completed"
+verdict carrying the exception type, never as a crash.  Independent sweep
+cells run on a thread pool capped by the LAB_THREADS environment variable,
+gathered in submission order so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -474,6 +475,22 @@ def _cloud_params(p: dict) -> CloudParams:
     return CloudParams(**kwargs)
 
 
+def _distance_table(report: Report, rows, monotone: bool, fit: dict | None = None):
+    """The distances table and its distance-monotone verdict; returns the
+    table and the index of its last row."""
+    table = report.table("distances", ["eps", "symmetric_dist"], fit=fit)
+    for eps, dist in rows:
+        table.add(eps, dist)
+    last = len(table.rows) - 1
+    report.verdict(
+        "distance-monotone", monotone, table, last,
+        "cloud distance decreases along the sweep"
+        if monotone
+        else f"distances {[f'{d:.3e}' for _, d in rows]}",
+    )
+    return table, last
+
+
 def _exp_distance_sweep(config: ExperimentConfig, report: Report):
     _need_eps(config)
     grid, mats, nl = _geometry(config)
@@ -485,19 +502,10 @@ def _exp_distance_sweep(config: ExperimentConfig, report: Report):
     )
 
     fit = {"slope": sweep.fit.slope, "intercept": sweep.fit.intercept} if sweep.fit else None
-    table = report.table("distances", ["eps", "symmetric_dist"], fit=fit)
-    for eps, dist in sweep.rows:
-        table.add(eps, dist)
+    table, last = _distance_table(report, sweep.rows, sweep.monotone, fit)
 
     final_tol = float(config.tolerances.get("final_dist", 5e-2))
     final = sweep.rows[-1][1]
-    last = len(table.rows) - 1
-    report.verdict(
-        "distance-monotone", sweep.monotone, table, last,
-        "cloud distance decreases along the sweep"
-        if sweep.monotone
-        else f"distances {[f'{d:.3e}' for _, d in sweep.rows]}",
-    )
     report.verdict(
         "final-distance", final <= final_tol, table, last,
         f"distance {final:.3e} at eps {sweep.rows[-1][0]:g} vs tolerance {final_tol:g}",
@@ -527,17 +535,8 @@ def _exp_attractor_mean(config: ExperimentConfig, report: Report):
         f"window-doubled mean has l2 {result.gbar.l2():.3e}",
     )
 
-    table = report.table("distances", ["eps", "symmetric_dist"])
-    for eps, dist in result.rows:
-        table.add(eps, dist)
-    last = len(table.rows) - 1
+    table, last = _distance_table(report, result.rows, result.monotone)
     final = result.rows[-1][1]
-    report.verdict(
-        "distance-monotone", result.monotone, table, last,
-        "cloud distance decreases along the sweep"
-        if result.monotone
-        else f"distances {[f'{d:.3e}' for _, d in result.rows]}",
-    )
     report.verdict(
         "final-within-resolution", final <= result.resolution, table, last,
         f"distance {final:.3e} vs reference cloud resolution {result.resolution:.3e}",
@@ -655,7 +654,7 @@ def run(config: ExperimentConfig, fixed_clock: bool = False) -> Report:
     report = Report(experiment=echo)
     try:
         _EXPERIMENTS[config.experiment](config, report)
-    except LabError as exc:
+    except Exception as exc:  # library errors and bad params values alike
         table = report.table("error", ["error_type", "message"])
         row = table.add(type(exc).__name__, str(exc))
         report.verdict("completed", False, table, row, str(exc))

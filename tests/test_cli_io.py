@@ -269,7 +269,7 @@ def test_run_modal_decay_small(tmp_path):
     assert 0 < rel < 0.01
 
 
-def test_run_wraps_library_errors_as_failed_verdict(tmp_path):
+def test_run_wraps_library_errors_as_failed_verdict(tmp_path, configs_dir):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(json.dumps({
         "version": 1,
@@ -284,6 +284,24 @@ def test_run_wraps_library_errors_as_failed_verdict(tmp_path):
     assert report.tables[0].name == "error"
     assert report.verdicts[0].name == "completed"
     assert "eps_list" in report.verdicts[0].detail
+
+    # params values the config loader does not type-check fail inside the
+    # experiment; they end in the same failed verdict, naming the exception
+    for name, params, detail in (
+        ("demo-solve", {"m_steps": 1}, "at least 2 time steps"),
+        ("demo-solve", {"t_len": "two"}, "'two'"),
+        ("c07-trajectory-rate", {"stride": 0.3}, "stride must divide"),
+    ):
+        raw = json.loads((configs_dir / f"{name}.json").read_text())
+        raw["params"].update(params)
+        raw["out_dir"] = str(tmp_path / name)
+        cfg_path.write_text(json.dumps(raw))
+        report = run(load_config(str(cfg_path)), fixed_clock=True)
+        assert [v.name for v in report.verdicts] == ["completed"], params
+        assert not report.all_pass
+        assert report.tables[0].name == "error"
+        assert report.tables[0].rows[0][0] == "ValueError"
+        assert detail in report.verdicts[0].detail
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from cylinderlab import (
     CylinderGrid,
     DegenerateData,
     Field,
+    LimitContext,
     NewtonDiverged,
     NewtonOptions,
     Periodic,
@@ -19,7 +20,6 @@ from cylinderlab import (
     StepOptions,
     cubic_nonlinearity,
     default_dt,
-    discrete_cascade,
     lambda0_margin,
     linear_nonlinearity,
     negate_forcing,
@@ -43,6 +43,30 @@ def decay_root(eps: float, lam: float) -> float:
 
 def zero_forcing(grid, k=1):
     return Constant(Field.zeros(grid, k))
+
+
+def mode_amplitude(eps: float, lam: float, t_len: float, times: np.ndarray) -> np.ndarray:
+    """y(t) with eps^2 y'' - y' - lam y = 0, y(0) = 1 and y'(t_len) = 0.
+
+    The growing root enters as exp(mu+ (t - t_len)) so nothing overflows.
+    """
+    s = math.sqrt(1.0 + 4.0 * eps**2 * lam)
+    mu_m, mu_p = (1.0 - s) / (2.0 * eps**2), (1.0 + s) / (2.0 * eps**2)
+    ratio = mu_m / mu_p
+    amp = 1.0 / (1.0 - ratio * math.exp((mu_m - mu_p) * t_len))
+    return amp * (np.exp(mu_m * times) - ratio * np.exp(mu_m * t_len + mu_p * (times - t_len)))
+
+
+def mode_error(n: int, m: int, eps: float, lam_of) -> float:
+    """Max nodal error of the f = 0 cylinder solve from the first sine mode."""
+    grid = SpatialGrid(math.pi, n)
+    u_tau = sine_field(grid, [1.0])
+    cg = CylinderGrid(0.0, 1.0, m, eps)
+    u = solve_truncated_bvp(
+        grid, cg, CouplingMatrices.scalar(), zero_nonlinearity(), zero_forcing(grid), u_tau
+    )
+    exact = mode_amplitude(eps, lam_of(grid), cg.t_len, cg.times)[:, None, None] * u_tau.values
+    return float(np.max(np.abs(u.values - exact)))
 
 
 def test_default_dt_policy():
@@ -76,6 +100,24 @@ def test_solve_modal_decay():
     assert rel <= 0.01
 
 
+def test_space_time_second_order_in_dt():
+    # the discrete eigenvalue makes the exact mode solution the semi-discrete
+    # one, so the error is the time discretization error alone: central
+    # differences and the one-sided far condition are second order
+    errs = [mode_error(31, m, 0.5, disc_eig) for m in (32, 64, 128, 256)]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(1.8 <= q <= 2.2 for q in orders), orders
+
+
+def test_space_time_second_order_in_h():
+    # against the continuum mode (lam = 1) with dt refined along with h; the
+    # dt order is pinned above, so a joint order of two pins the h order
+    levels = ((15, 16), (31, 32), (63, 64), (127, 128))
+    errs = [mode_error(n, m, 0.5, lambda grid: 1.0) for n, m in levels]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(1.8 <= q <= 2.2 for q in orders), orders
+
+
 def test_solve_meets_initial_slice_exactly(grid48, scalar_mats, chafee2):
     u_tau = sine_field(grid48, [0.7, 0.1])
     cg = CylinderGrid(0.0, 1.0, 32, 0.25)
@@ -86,16 +128,33 @@ def test_solve_meets_initial_slice_exactly(grid48, scalar_mats, chafee2):
 
 def test_eps_zero_delegates_to_semigroup(grid48, scalar_mats, chafee2):
     # the eps = 0 cylinder solve must agree with the parabolic march driven
-    # by the sign-flipped forcing, slice for slice
-    g = Constant(sine_field(grid48, [0.3]))
+    # by the sign-flipped forcing, slice for slice; the eps = 0 process map
+    # and evolve are the LimitContext calls on that forcing, bit for bit
     u_tau = sine_field(grid48, [0.5])
-    cg = CylinderGrid(0.0, 2.0, 128, 0.0)
-    u = solve_truncated_bvp(grid48, cg, scalar_mats, chafee2, g, u_tau)
-    traj = semigroup_evolve(
-        u_tau, 2.0, StepOptions(dt=2.0 / 128), scalar_mats, chafee2, negate_forcing(g)
-    )
-    assert traj.values.shape == u.values.shape
-    assert np.max(np.abs(traj.values - u.values)) <= 1e-12
+    for g, opts in (
+        (Constant(sine_field(grid48, [0.3])), NewtonOptions()),
+        (
+            Periodic(sine_field(grid48, [0.1]), sine_field(grid48, [0.0, 0.4]), 3.0),
+            NewtonOptions(tol_residual=1e-10),
+        ),
+    ):
+        cg = CylinderGrid(0.0, 2.0, 128, 0.0)
+        u = solve_truncated_bvp(grid48, cg, scalar_mats, chafee2, g, u_tau, opts=opts)
+        step = StepOptions(dt=2.0 / 128, newton=opts)
+        traj = semigroup_evolve(u_tau, 2.0, step, scalar_mats, chafee2, negate_forcing(g))
+        assert traj.values.shape == u.values.shape
+        assert np.max(np.abs(traj.values - u.values)) <= 1e-12
+        assert traj.values.tobytes() == u.values.tobytes()
+
+        ctx = ProcessContext(grid48, scalar_mats, chafee2, g, eps=0.0, opts=opts, dt=1.0 / 64)
+        limit = LimitContext(
+            grid48, scalar_mats, chafee2, negate_forcing(g), StepOptions(1.0 / 64, opts)
+        )
+        mapped = process_map(u_tau, 0.5, 2.0, ctx)
+        assert mapped.values.tobytes() == limit.map(u_tau, 0.5, 2.0).values.tobytes()
+        got, want = ctx.evolve(u_tau, 0.5, 1.5, 0.25), limit.evolve(u_tau, 0.5, 1.5, 0.25)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_warm_restart_is_a_fixed_point(grid48, scalar_mats, chafee2):
@@ -138,17 +197,21 @@ def process48(grid48, scalar_mats):
 def test_process_map_identity(process48, grid48):
     u0 = sine_field(grid48, [0.4])
     assert process_map(u0, 2.0, 2.0, process48) is u0
+    assert process48.map(u0, 3.0, 3.0) is u0
     with pytest.raises(ValueError):
         process_map(u0, 1.0, 0.0, process48)
+    with pytest.raises(ValueError):
+        process48.map(u0, 2.0, 1.0)
 
 
 def test_process_cocycle(process48, grid48):
-    # two-hop composition through s agrees with the direct solve over [tau, t]
-    u0 = sine_field(grid48, [0.5])
-    tau, s, t = 0.0, 1.5, 4.0
-    direct = process_map(u0, tau, t, process48)
-    hop = process_map(process_map(u0, tau, s, process48), s, t, process48)
-    assert (direct - hop).l2() <= 1e-4
+    # two-hop composition through s agrees with the direct solve over [tau, t],
+    # for an off-grid split and for two unit hops through the context's map
+    for amp, (tau, s, t) in ((0.5, (0.0, 1.5, 4.0)), (0.4, (0.0, 1.0, 2.0))):
+        u0 = sine_field(grid48, [amp])
+        direct = process_map(u0, tau, t, process48)
+        hop = process48.map(process48.map(u0, tau, s), s, t)
+        assert (direct - hop).l2() <= 1e-4
 
 
 def test_process_evolve_slices(process48, grid48):
@@ -195,20 +258,6 @@ def test_monotone_decay_without_forcing(grid48, scalar_mats):
     traj = ctx.evolve(sine_field(grid48, [0.8]), 0.0, 3.0, stride=0.5)
     norms = [traj.field(j).l2() for j in range(traj.times.shape[0])]
     assert all(b < a for a, b in zip(norms, norms[1:]))
-
-
-def test_discrete_cascade_identity(process48, grid48):
-    u = sine_field(grid48, [0.4])
-    assert discrete_cascade(3, 3, u, process48) is u
-    with pytest.raises(ValueError):
-        discrete_cascade(1, 2, u, process48)
-
-
-def test_discrete_cascade_two_hops(process48, grid48):
-    u = sine_field(grid48, [0.4])
-    stepped = discrete_cascade(2, 0, u, process48)
-    direct = process_map(u, 0.0, 2.0, process48)
-    assert (stepped - direct).l2() <= 1e-4
 
 
 # ---------------------------------------------------------------------------
