@@ -61,7 +61,7 @@ _PARAM_KEYS = {
     "structure": {"radius", "t_grow", "stride", "n_rays"},
     "distance-sweep": {"radius", "t_grow", "stride", "n_rays", "discard"},
     "attractor-mean": {"radius", "t_grow", "stride", "n_rays", "discard", "window0", "mean_tol"},
-    "solution-ratios": {"u0", "h_profile"},
+    "solution-ratios": {"u0"},
     "symbol-bounds": {"pairs", "eps_grid", "xi_points", "xi_range"},
 }
 
@@ -82,7 +82,10 @@ _TOL_KEYS = {
     "symbol-bounds": {"ratio_lo", "ratio_hi"},
 }
 
-_MARGIN_KINDS = {"converge", "attractor", "average"}
+# experiments whose truncated cylinders read the far-boundary margin
+_MARGIN_EXPERIMENTS = {
+    "trajectory-rate", "periodic-orbit", "distance-sweep", "attractor-mean", "solution-ratios",
+}
 
 
 @dataclass(frozen=True)
@@ -372,8 +375,8 @@ def load_config(path: str) -> ExperimentConfig:
         _fail("out_dir", "expected a nonempty string")
     seed = _integer(raw.get("seed", 0), "seed", minimum=0)
     margin = _number(raw.get("margin", 2.0), "margin", positive=True)
-    if "margin" in raw and kind not in _MARGIN_KINDS and kind not in ("solve-elliptic",):
-        _fail("margin", f"not used by kind {kind!r}")
+    if "margin" in raw and experiment not in _MARGIN_EXPERIMENTS:
+        _fail("margin", f"not used by experiment {experiment!r}")
 
     return ExperimentConfig(
         kind=kind,

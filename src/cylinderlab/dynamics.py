@@ -22,7 +22,6 @@ from .elliptic import (
     ProcessContext,
     _limit_context,
     _window_grid,
-    default_dt,
     solve_truncated_bvp,
 )
 from .errors import (
@@ -36,15 +35,7 @@ from .errors import (
     NotHyperbolic,
     ShapeMismatch,
 )
-from .forcing import (
-    Constant,
-    FastScaled,
-    Forcing,
-    finest_scale,
-    forcing_mean,
-    forcing_period,
-    time_average,
-)
+from .forcing import Constant, FastScaled, Forcing, forcing_mean, time_average
 from .model import CouplingMatrices, CylinderGrid, Field, Nonlinearity, Trajectory, sine_field
 from .newton import NewtonOptions, damped_newton
 from .parabolic import LimitContext, _BandedStepper
@@ -585,7 +576,7 @@ def track_periodic_solution(
     z = record.z
     grid, k = z.grid, z.k
     ectx = replace(context, eps=eps, forcing=g)
-    period = forcing_period(g)
+    period = g.period
 
     if period is None:
         traj = ectx.evolve(z, 0.0, t_track, 0.25)
@@ -662,16 +653,13 @@ class AveragingResult:
 
 
 def _eps_forcing(g: Forcing, eps: float) -> Forcing:
-    return g if isinstance(g, Constant) else FastScaled(g, eps)
+    return g if g.period == 0.0 else FastScaled(g, eps)
 
 
 def _eps_context(context: ProcessContext, g: Forcing, eps: float) -> ProcessContext:
     """Context at eps with the step refined to resolve the forcing scale."""
-    dt = context.dt if context.dt is not None else default_dt(eps)
-    scale = finest_scale(g)
-    if math.isfinite(scale):
-        dt = min(dt, scale / 10.0)
-    return replace(context, eps=eps, forcing=g, dt=dt)
+    ectx = replace(context, eps=eps, forcing=g)
+    return replace(ectx, dt=min(ectx.dt_target, g.scale / 10.0))
 
 
 def _mean_limit(context: ProcessContext, gbar: Field) -> LimitContext:

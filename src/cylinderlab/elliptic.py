@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateData, ShapeMismatch, SingularJacobian
-from .forcing import Constant, Forcing, eval_forcing, negate_forcing
+from .forcing import Constant, Forcing
 from .model import (
     CouplingMatrices,
     CylinderField,
@@ -140,9 +140,7 @@ class _SpaceTimeSystem:
 
         b = np.zeros(self.shape3)
         b[0] = u_tau.values
-        times = cgrid.times
-        for j in range(1, m):
-            b[j] = eval_forcing(g, float(times[j])).values
+        b[1:m] = g.window(cgrid.times[1:m])
         if isinstance(far, Clamp):
             b[m] = far.profile.values
         self.b = b.ravel()
@@ -263,9 +261,6 @@ class ProcessContext:
         Consecutive windows warm-start from the shifted previous solution,
         which keeps Newton at one or two steps once transients decay.
         """
-        if self.eps == 0.0:
-            return _limit_context(self).evolve(u0, tau, t_end, stride)
-
         if not stride > 0:
             raise ValueError("stride must be positive")
         spw_unit = 1.0 / stride
@@ -274,6 +269,8 @@ class ProcessContext:
         n_strides = t_end / stride
         if abs(n_strides - round(n_strides)) > 1e-9:
             raise ValueError("t_end must be a multiple of stride")
+        if self.eps == 0.0:
+            return _limit_context(self).evolve(u0, tau, t_end, stride)
         n_strides = int(round(n_strides))
         dt, spw, margin_steps = _window_grid(stride, self.dt_target, self.margin)
 
@@ -313,9 +310,7 @@ def _limit_context(context: ProcessContext) -> LimitContext:
     one adds it, so the limit flow is driven by -g.
     """
     step = StepOptions(dt=context.dt_target, newton=context.opts)
-    return LimitContext(
-        context.sgrid, context.mats, context.nl, negate_forcing(context.forcing), step
-    )
+    return LimitContext(context.sgrid, context.mats, context.nl, -context.forcing, step)
 
 
 def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> Field:
@@ -384,7 +379,7 @@ def regularity_probe(eps_list, h: Forcing, u0: Field, context: ProcessContext):
     zero_f = zero_nonlinearity(u0.k)
     t_len = _SLAB_STARTS[-1] + 1.0 + context.margin
     h_times = np.linspace(0.0, t_len, 97)
-    h_sq = np.array([eval_forcing(h, float(t)).l2() ** 2 for t in h_times])
+    h_sq = np.array([Field(h.grid, v).l2() ** 2 for v in h.window(h_times)])
     h_norm = math.sqrt(float(np.trapezoid(h_sq, h_times)))
     if u0.l2() == 0.0 and h_norm == 0.0:
         raise DegenerateData("u0 and h both vanish")

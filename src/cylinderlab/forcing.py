@@ -1,22 +1,25 @@
-"""Time-dependent forcing families and their time averages.
+"""Time-dependent forcing as data, and its time averages.
 
-Variants form a closed tagged union; eval_forcing dispatches on type.
-The patchwork family switches between two forcings on intervals whose
-endpoints are consecutive integer squares; all endpoints are nonnegative,
-so the literal switching rule covers t >= 0 and is extended evenly in |t|
-for negative times (children are still evaluated at t itself).
+Every forcing is a finite sum g(t) = sum_i c_i(t) P_i of fixed spatial
+profiles P_i times scalar coefficients c_i(t).  The families (Constant,
+Periodic, Quasiperiodic, Heteroclinic, Patchwork, FastScaled) are
+constructor functions that build the profile stack and its coefficient
+function.  The patchwork family switches between two forcings on intervals
+whose endpoints are consecutive integer squares; all endpoints are
+nonnegative, so the literal switching rule covers t >= 0 and is extended
+evenly in |t| for negative times (children are still evaluated at t itself).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import AverageNotConverged, ShapeMismatch
-from .model import Field
+from .model import Field, SpatialGrid
 
 __all__ = [
     "Constant",
@@ -28,212 +31,182 @@ __all__ = [
     "Forcing",
     "eval_forcing",
     "time_average",
-    "forcing_grid",
-    "forcing_period",
-    "finest_scale",
-    "negate_forcing",
     "forcing_mean",
 ]
 
 
-@dataclass(frozen=True)
-class Constant:
-    mean: Field
+@dataclass(frozen=True, eq=False)
+class Forcing:
+    """g(t) = sum_i coeffs(t)[:, i] * profiles[i].
+
+    profiles is a read-only (p, n, k) stack; coeffs maps a time array of
+    shape (T,) to coefficients of shape (T, p).  scale is the shortest
+    intrinsic time scale (inf when autonomous), period the exact period
+    (0.0 when autonomous, None when aperiodic), and mean the strong time
+    mean (None where none exists).  A patchwork keeps (g1, g2, unit) in
+    patches, its two children and the time unit of its square switch
+    points, so that time_average can integrate each piece on its own child.
+    """
+
+    grid: SpatialGrid
+    profiles: np.ndarray
+    coeffs: Callable[[np.ndarray], np.ndarray]
+    scale: float = math.inf
+    period: float | None = None
+    mean: Field | None = None
+    patches: tuple | None = None
+
+    def __post_init__(self):
+        p = np.array(self.profiles, dtype=float)
+        p.setflags(write=False)
+        object.__setattr__(self, "profiles", p)
+
+    def window(self, times) -> np.ndarray:
+        """Values at each of the times, shape (T, n, k).
+
+        The profiles are accumulated in order, c_0 P_0 + c_1 P_1 + ...,
+        elementwise, so each row is the value a scalar evaluation gives.
+        """
+        ts = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("times must be finite")
+        c = self.coeffs(ts)
+        out = c[:, 0, None, None] * self.profiles[0]
+        for i in range(1, self.profiles.shape[0]):
+            out += c[:, i, None, None] * self.profiles[i]
+        return out
+
+    def __neg__(self) -> Forcing:
+        """The forcing -g(t): negated profiles, same coefficients."""
+        patches = self.patches
+        if patches is not None:
+            patches = (-patches[0], -patches[1], patches[2])
+        mean = None if self.mean is None else -self.mean
+        return replace(self, profiles=-self.profiles, mean=mean, patches=patches)
 
 
-@dataclass(frozen=True)
-class Heteroclinic:
+def _stack(fields, what: str) -> np.ndarray:
+    """(p, n, k) stack of Fields that share one grid and component count."""
+    if any(f.grid != fields[0].grid or f.k != fields[0].k for f in fields):
+        raise ShapeMismatch(f"{what} live on different grids")
+    return np.stack([f.values for f in fields])
+
+
+def Constant(mean: Field) -> Forcing:
+    def coeffs(ts):
+        return np.ones((ts.shape[0], 1))
+
+    return Forcing(mean.grid, _stack([mean], "constant"), coeffs, period=0.0, mean=mean)
+
+
+def Heteroclinic(g_minus: Field, g_plus: Field, scale: float) -> Forcing:
     """Smooth blend g_minus -> g_plus via (1 + tanh(t/scale))/2."""
+    profiles = _stack([g_minus, g_plus], "heteroclinic endpoints")
+    if not scale > 0:
+        raise ValueError("scale must be positive")
 
-    g_minus: Field
-    g_plus: Field
-    scale: float
+    def coeffs(ts):
+        # math.tanh per time: np.tanh differs from it in the last bit
+        w = [0.5 * (1.0 + math.tanh(t / scale)) for t in ts.tolist()]
+        return np.column_stack([np.ones(len(w)), w])
 
-    def __post_init__(self):
-        if self.g_minus.grid != self.g_plus.grid or self.g_minus.k != self.g_plus.k:
-            raise ShapeMismatch("heteroclinic endpoints live on different grids")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+    profiles = np.stack([profiles[0], profiles[1] - profiles[0]])
+    return Forcing(g_minus.grid, profiles, coeffs, scale=scale)
 
 
-@dataclass(frozen=True)
-class Periodic:
+def Periodic(mean: Field, osc: Field, omega: float) -> Forcing:
     """mean + sin(omega t) * osc."""
+    profiles = _stack([mean, osc], "periodic mean/osc")
+    if not omega > 0:
+        raise ValueError("omega must be positive")
 
-    mean: Field
-    osc: Field
-    omega: float
+    def coeffs(ts):
+        return np.column_stack([np.ones(ts.shape[0]), np.sin(omega * ts)])
 
-    def __post_init__(self):
-        if self.mean.grid != self.osc.grid or self.mean.k != self.osc.k:
-            raise ShapeMismatch("periodic mean/osc live on different grids")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+    period = 2.0 * math.pi / omega
+    return Forcing(mean.grid, profiles, coeffs, scale=period, period=period, mean=mean)
 
 
-@dataclass(frozen=True)
-class Quasiperiodic:
+def Quasiperiodic(mean: Field, osc1: Field, omega1: float, osc2: Field, omega2: float) -> Forcing:
     """mean + sin(omega1 t) * osc1 + sin(omega2 t) * osc2."""
+    profiles = _stack([mean, osc1, osc2], "quasiperiodic fields")
+    if not (omega1 > 0 and omega2 > 0):
+        raise ValueError("frequencies must be positive")
 
-    mean: Field
-    osc1: Field
-    omega1: float
-    osc2: Field
-    omega2: float
+    def coeffs(ts):
+        return np.column_stack([np.ones(ts.shape[0]), np.sin(omega1 * ts), np.sin(omega2 * ts)])
 
-    def __post_init__(self):
-        for f in (self.osc1, self.osc2):
-            if f.grid != self.mean.grid or f.k != self.mean.k:
-                raise ShapeMismatch("quasiperiodic fields live on different grids")
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("frequencies must be positive")
+    scale = 2.0 * math.pi / max(omega1, omega2)
+    return Forcing(mean.grid, profiles, coeffs, scale=scale, mean=mean)
 
 
-@dataclass(frozen=True)
-class Patchwork:
-    """g1 on [4k^2, (2k+1)^2), g2 on [(2k-1)^2, 4k^2), k integer."""
-
-    g1: "Forcing"
-    g2: "Forcing"
-
-    def __post_init__(self):
-        if forcing_grid(self.g1) != forcing_grid(self.g2):
-            raise ShapeMismatch("patchwork children live on different grids")
-
-
-@dataclass(frozen=True)
-class FastScaled:
-    """g(t / eps)."""
-
-    inner: "Forcing"
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-
-
-Forcing = Union[Constant, Heteroclinic, Periodic, Quasiperiodic, Patchwork, FastScaled]
-
-
-def forcing_grid(g: Forcing):
-    """Spatial grid shared by all profile fields of the forcing."""
-    if isinstance(g, Constant):
-        return g.mean.grid
-    if isinstance(g, Heteroclinic):
-        return g.g_minus.grid
-    if isinstance(g, (Periodic, Quasiperiodic)):
-        return g.mean.grid
-    if isinstance(g, Patchwork):
-        return forcing_grid(g.g1)
-    if isinstance(g, FastScaled):
-        return forcing_grid(g.inner)
-    raise TypeError(f"not a forcing: {type(g)!r}")
-
-
-def _patchwork_first(t: float) -> bool:
-    """True when t falls in a g1 interval [m^2, (m+1)^2) with m even."""
-    m = int(math.floor(math.sqrt(abs(t))))
+def _first_patch(ts: np.ndarray) -> np.ndarray:
+    """True where |t| falls in a g1 interval [m^2, (m+1)^2) with m even."""
+    a = np.abs(ts)
+    m = np.floor(np.sqrt(a))
     # floating guard at square boundaries
-    if (m + 1) ** 2 <= abs(t):
-        m += 1
-    elif m**2 > abs(t):
-        m -= 1
+    m = np.where((m + 1) ** 2 <= a, m + 1, np.where(m**2 > a, m - 1, m))
     return m % 2 == 0
+
+
+def Patchwork(g1: Forcing, g2: Forcing) -> Forcing:
+    """g1 on [4k^2, (2k+1)^2), g2 on [(2k-1)^2, 4k^2), k integer."""
+    if g1.grid != g2.grid or g1.profiles.shape[1:] != g2.profiles.shape[1:]:
+        raise ShapeMismatch("patchwork children live on different grids")
+
+    def coeffs(ts):
+        first = _first_patch(ts)[:, None]
+        return np.concatenate(
+            [np.where(first, g1.coeffs(ts), 0.0), np.where(first, 0.0, g2.coeffs(ts))], axis=1
+        )
+
+    # zero-mean 1-periodic children give zero over every integer window, so
+    # the patchwork has a mean exactly when its children share one
+    mean = None
+    if g1.mean is not None and g2.mean is not None and (g1.mean - g2.mean).l2() <= 1e-12:
+        mean = g1.mean
+    return Forcing(
+        g1.grid,
+        np.concatenate([g1.profiles, g2.profiles]),
+        coeffs,
+        scale=min(1.0, g1.scale, g2.scale),
+        mean=mean,
+        patches=(g1, g2, 1.0),
+    )
+
+
+def FastScaled(inner: Forcing, eps: float) -> Forcing:
+    """g(t / eps)."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    patches = inner.patches
+    if patches is not None:
+        patches = (FastScaled(patches[0], eps), FastScaled(patches[1], eps), patches[2] * eps)
+    return Forcing(
+        inner.grid,
+        inner.profiles,
+        lambda ts: inner.coeffs(ts / eps),
+        scale=eps * inner.scale,
+        period=None if inner.period is None else eps * inner.period,
+        mean=inner.mean,
+        patches=patches,
+    )
 
 
 def eval_forcing(g: Forcing, t: float) -> Field:
     """Value of the forcing at time t."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if isinstance(g, Constant):
-        return g.mean
-    if isinstance(g, Heteroclinic):
-        w = 0.5 * (1.0 + math.tanh(t / g.scale))
-        return Field(g.g_minus.grid, g.g_minus.values + w * (g.g_plus.values - g.g_minus.values))
-    if isinstance(g, Periodic):
-        return Field(g.mean.grid, g.mean.values + math.sin(g.omega * t) * g.osc.values)
-    if isinstance(g, Quasiperiodic):
-        return Field(
-            g.mean.grid,
-            g.mean.values
-            + math.sin(g.omega1 * t) * g.osc1.values
-            + math.sin(g.omega2 * t) * g.osc2.values,
-        )
-    if isinstance(g, Patchwork):
-        return eval_forcing(g.g1 if _patchwork_first(t) else g.g2, t)
-    if isinstance(g, FastScaled):
-        return eval_forcing(g.inner, t / g.eps)
-    raise TypeError(f"not a forcing: {type(g)!r}")
-
-
-def finest_scale(g: Forcing) -> float:
-    """Shortest intrinsic time scale; inf for autonomous forcing."""
-    if isinstance(g, Constant):
-        return math.inf
-    if isinstance(g, Heteroclinic):
-        return g.scale
-    if isinstance(g, Periodic):
-        return 2.0 * math.pi / g.omega
-    if isinstance(g, Quasiperiodic):
-        return 2.0 * math.pi / max(g.omega1, g.omega2)
-    if isinstance(g, Patchwork):
-        return min(1.0, finest_scale(g.g1), finest_scale(g.g2))
-    if isinstance(g, FastScaled):
-        return g.eps * finest_scale(g.inner)
-    raise TypeError(f"not a forcing: {type(g)!r}")
+    return Field(g.grid, g.window([t])[0])
 
 
 def forcing_mean(g: Forcing) -> Field:
     """Infinite-horizon time average, where one exists in the strong sense.
 
     Sinusoidal oscillations average to zero exactly; a patchwork has a mean
-    only when both children share one (zero-mean 1-periodic children give
-    zero over every integer window, hence in the limit).
+    only when both children share one.
     """
-    if isinstance(g, Constant):
-        return g.mean
-    if isinstance(g, (Periodic, Quasiperiodic)):
-        return g.mean
-    if isinstance(g, FastScaled):
-        return forcing_mean(g.inner)
-    if isinstance(g, Patchwork):
-        m1, m2 = forcing_mean(g.g1), forcing_mean(g.g2)
-        if (m1 - m2).l2() <= 1e-12:
-            return m1
-        raise AverageNotConverged("patchwork children have different means")
-    if isinstance(g, Heteroclinic):
-        raise AverageNotConverged("heteroclinic forcing has no time mean")
-    raise TypeError(f"not a forcing: {type(g)!r}")
-
-
-def negate_forcing(g: Forcing) -> Forcing:
-    """Forcing whose value is -g(t) for every t, same variant structure."""
-    if isinstance(g, Constant):
-        return Constant(-g.mean)
-    if isinstance(g, Heteroclinic):
-        return Heteroclinic(-g.g_minus, -g.g_plus, g.scale)
-    if isinstance(g, Periodic):
-        return Periodic(-g.mean, -g.osc, g.omega)
-    if isinstance(g, Quasiperiodic):
-        return Quasiperiodic(-g.mean, -g.osc1, g.omega1, -g.osc2, g.omega2)
-    if isinstance(g, Patchwork):
-        return Patchwork(negate_forcing(g.g1), negate_forcing(g.g2))
-    if isinstance(g, FastScaled):
-        return FastScaled(negate_forcing(g.inner), g.eps)
-    raise TypeError(f"not a forcing: {type(g)!r}")
-
-
-def forcing_period(g: Forcing):
-    """Exact period, 0.0 for autonomous forcing, None when not periodic."""
-    if isinstance(g, Constant):
-        return 0.0
-    if isinstance(g, Periodic):
-        return 2.0 * math.pi / g.omega
-    if isinstance(g, FastScaled):
-        p = forcing_period(g.inner)
-        return None if p is None else g.eps * p
-    return None
+    if g.mean is None:
+        raise AverageNotConverged("forcing has no strong time mean")
+    return g.mean
 
 
 # nodes per intrinsic scale for the composite quadrature
@@ -242,19 +215,18 @@ _NODES_PER_SCALE = 48
 
 def _average_smooth(g: Forcing, t0: float, window: float) -> np.ndarray:
     """Trapezoid average of a smooth (non-patchwork) forcing over [t0, t0+window]."""
-    scale = finest_scale(g)
-    if math.isinf(scale):
-        return eval_forcing(g, t0).values.copy()
-    steps = max(32, int(math.ceil(window / scale * _NODES_PER_SCALE)))
+    if math.isinf(g.scale):
+        return g.window([t0])[0]
+    steps = max(32, int(math.ceil(window / g.scale * _NODES_PER_SCALE)))
     steps = min(steps, 4_000_000)
     ts = t0 + window * np.arange(steps + 1) / steps
-    acc = np.zeros_like(eval_forcing(g, t0).values)
+    acc = np.zeros(g.profiles.shape[1:])
     # chunked accumulation keeps memory flat for very long windows
     chunk = 65536
     dt = window / steps
     for lo in range(0, steps + 1, chunk):
         hi = min(lo + chunk, steps + 1)
-        block = np.stack([eval_forcing(g, float(t)).values for t in ts[lo:hi]])
+        block = g.window(ts[lo:hi])
         w = np.ones(hi - lo)
         if lo == 0:
             w[0] = 0.5
@@ -281,22 +253,18 @@ def _patchwork_breaks(t0: float, t1: float):
 def time_average(g: Forcing, t0: float, window: float) -> Field:
     """(1/window) integral of g over [t0, t0 + window] by composite quadrature.
 
-    FastScaled averages reduce exactly by change of variables; patchwork
-    windows are split at the switch points so each piece is smooth.
+    Patchwork windows are split at the switch points so each piece is
+    smooth, and each piece is integrated on its own child.
     """
     if not window > 0:
         raise ValueError(f"window must be positive, got {window}")
-    grid = forcing_grid(g)
-    if isinstance(g, Constant):
-        return g.mean
-    if isinstance(g, FastScaled):
-        return time_average(g.inner, t0 / g.eps, window / g.eps)
-    if isinstance(g, Patchwork):
-        t1 = t0 + window
-        cuts = [t0] + _patchwork_breaks(t0, t1) + [t1]
-        acc = np.zeros((grid.n_interior, eval_forcing(g, t0).values.shape[1]))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            child = g.g1 if _patchwork_first(0.5 * (a + b)) else g.g2
-            acc += _average_smooth(child, a, b - a) * (b - a)
-        return Field(grid, acc / window)
-    return Field(grid, _average_smooth(g, t0, window))
+    if g.patches is None:
+        return Field(g.grid, _average_smooth(g, t0, window))
+    g1, g2, unit = g.patches
+    t1 = t0 + window
+    cuts = [t0] + [unit * s for s in _patchwork_breaks(t0 / unit, t1 / unit)] + [t1]
+    acc = np.zeros(g.profiles.shape[1:])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        child = g1 if _first_patch(np.array([0.5 * (a + b) / unit]))[0] else g2
+        acc += _average_smooth(child, a, b - a) * (b - a)
+    return Field(g.grid, acc / window)

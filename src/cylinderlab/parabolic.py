@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AsymmetricA, DegenerateData, MissingPotential, ShapeMismatch
-from .forcing import Forcing, eval_forcing
+from .forcing import Forcing
 from .model import (
     CouplingMatrices,
     Ensemble,
@@ -112,6 +112,10 @@ def _initial_stack(u0) -> tuple[SpatialGrid, np.ndarray]:
     return grid, np.stack([f.values for f in fields])
 
 
+# steps whose forcing values one window call evaluates ahead
+_FORCING_CHUNK = 256
+
+
 def semigroup_evolve(
     u0: Field | Sequence[Field],
     t_end: float,
@@ -139,8 +143,11 @@ def semigroup_evolve(
     vals = np.empty((cur.shape[0], steps + 1) + cur.shape[1:])
     vals[:, 0] = cur
     for j in range(steps):
-        t_next = tau + (j + 1) * dt
-        gval = eval_forcing(g, t_next).values
+        if j % _FORCING_CHUNK == 0:
+            # the forcing at the right endpoints of the next chunk of steps
+            ahead = np.arange(j + 1, min(j + _FORCING_CHUNK, steps) + 1)
+            gblock = g.window(tau + dt * ahead)
+        gval = gblock[j % _FORCING_CHUNK]
         cur, _ = damped_newton(
             cur,
             lambda v, _c=cur, _g=gval: stepper.residual(v, _c, _g),

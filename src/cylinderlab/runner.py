@@ -40,7 +40,7 @@ from .elliptic import (
     variational_process,
 )
 from .errors import LabError
-from .forcing import Constant, forcing_mean, negate_forcing
+from .forcing import Constant, forcing_mean
 from .model import CylinderGrid, Field, cubic_nonlinearity, sine_field, symbol_A
 from .newton import NewtonOptions
 from .parabolic import LimitContext, StepOptions, lyapunov_value, semigroup_evolve
@@ -358,7 +358,7 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
     ctx = _context(config, grid, mats, nl, g, eps=0.0)
     traj_e = ctx.evolve(u0, 0.0, t_end, stride)
     traj_p = semigroup_evolve(
-        u0, t_end, StepOptions(dt=ctx.dt_target), mats, nl, negate_forcing(g)
+        u0, t_end, StepOptions(dt=ctx.dt_target), mats, nl, -g
     )
 
     table = report.table("slice-gap", ["t", "rel_gap"])
@@ -421,7 +421,7 @@ def _exp_periodic_orbit(config: ExperimentConfig, report: Report):
     p = config.params
     t_track = float(p.get("t_track", 40.0))
     resid_max = float(config.tolerances.get("residual_max", 1e-6))
-    gbar = forcing_mean(negate_forcing(g))
+    gbar = forcing_mean(-g)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)

@@ -6,7 +6,7 @@ import pytest
 
 from cylinderlab import ParseError, ValidationError, load_config
 from cylinderlab.config import parse_forcing, parse_profile
-from cylinderlab.forcing import FastScaled, Periodic
+from cylinderlab.forcing import Forcing
 from cylinderlab.model import SpatialGrid
 
 
@@ -81,7 +81,9 @@ def test_full_config_roundtrip(tmp_path):
     assert cfg.tolerances["final_dist"] == 0.05
     assert cfg.out_dir == "out/sweep" and cfg.seed == 11 and cfg.margin == 3.0
     g = parse_forcing(cfg.forcing, cfg.problem.grid(), cfg.problem.k)
-    assert isinstance(g, Periodic) and g.omega == 1.0
+    # omega 1.0: the period is 2 pi, and sin(omega t) reaches 1 at t = pi/2
+    assert isinstance(g, Forcing) and g.period == 2.0 * math.pi
+    np.testing.assert_array_equal(g.window([math.pi / 2])[0], g.profiles[0] + g.profiles[1])
 
 
 def test_shipped_configs_load(configs_dir):
@@ -197,6 +199,16 @@ def test_param_and_tolerance_keys_checked_per_experiment(tmp_path):
         minimal(tolerances={"final_dist": 0.1}),
         "tolerances.final_dist: unknown key for experiment 'census'",
     )
+    # solution-ratios takes h from the forcing block, not from params
+    fails_with(
+        tmp_path,
+        minimal(
+            kind="regularity-probe",
+            experiment="solution-ratios",
+            params={"h_profile": {"kind": "zero"}},
+        ),
+        "params.h_profile: unknown key for experiment 'solution-ratios'",
+    )
     cfg = load_config(write(tmp_path, minimal(params={"seed_count": 20})))
     assert cfg.params["seed_count"] == 20
 
@@ -207,9 +219,14 @@ def test_seed_out_dir_margin_rules(tmp_path):
     fails_with(tmp_path, minimal(out_dir=""), "out_dir: expected a nonempty string")
     fails_with(tmp_path, minimal(margin=0.0), "margin: must be > 0")
     # census runs no truncated solves, so a margin there is a config mistake
-    fails_with(tmp_path, minimal(margin=4.0), "margin: not used by kind 'equilibria'")
+    fails_with(tmp_path, minimal(margin=4.0), "margin: not used by experiment 'census'")
     ok = minimal(kind="converge", experiment="trajectory-rate", margin=4.0)
     assert load_config(write(tmp_path, ok)).margin == 4.0
+    # solution-ratios solves truncated cylinders; the elliptic solve does not read a margin
+    ok = minimal(kind="regularity-probe", experiment="solution-ratios", margin=3.0)
+    assert load_config(write(tmp_path, ok)).margin == 3.0
+    bad = minimal(kind="solve-elliptic", experiment="solve", margin=3.0)
+    fails_with(tmp_path, bad, "margin: not used by experiment 'solve'")
 
 
 def test_parse_errors_carry_position(tmp_path):
@@ -239,4 +256,13 @@ def test_profile_builders(tmp_path):
         {"type": "fast-scaled", "inner": {"type": "constant", "mean": {"kind": "zero"}}, "eps": 0.25},
         grid, 1,
     )
-    assert isinstance(g, FastScaled) and g.eps == 0.25
+    assert isinstance(g, Forcing) and g.period == 0.0
+    # eps 0.25: a periodic inner forcing has its period scaled by a quarter
+    inner = {
+        "type": "periodic",
+        "mean": {"kind": "zero"},
+        "osc": {"kind": "sine", "coeffs": [1.0]},
+        "omega": 1.0,
+    }
+    g = parse_forcing({"type": "fast-scaled", "inner": inner, "eps": 0.25}, grid, 1)
+    assert g.period == 0.25 * 2.0 * math.pi

@@ -22,7 +22,6 @@ from cylinderlab import (
     default_dt,
     lambda0_margin,
     linear_nonlinearity,
-    negate_forcing,
     process_map,
     regularity_probe,
     semigroup_evolve,
@@ -141,14 +140,14 @@ def test_eps_zero_delegates_to_semigroup(grid48, scalar_mats, chafee2):
         cg = CylinderGrid(0.0, 2.0, 128, 0.0)
         u = solve_truncated_bvp(grid48, cg, scalar_mats, chafee2, g, u_tau, opts=opts)
         step = StepOptions(dt=2.0 / 128, newton=opts)
-        traj = semigroup_evolve(u_tau, 2.0, step, scalar_mats, chafee2, negate_forcing(g))
+        traj = semigroup_evolve(u_tau, 2.0, step, scalar_mats, chafee2, -g)
         assert traj.values.shape == u.values.shape
         assert np.max(np.abs(traj.values - u.values)) <= 1e-12
         assert traj.values.tobytes() == u.values.tobytes()
 
         ctx = ProcessContext(grid48, scalar_mats, chafee2, g, eps=0.0, opts=opts, dt=1.0 / 64)
         limit = LimitContext(
-            grid48, scalar_mats, chafee2, negate_forcing(g), StepOptions(1.0 / 64, opts)
+            grid48, scalar_mats, chafee2, -g, StepOptions(1.0 / 64, opts)
         )
         mapped = process_map(u_tau, 0.5, 2.0, ctx)
         assert mapped.values.tobytes() == limit.map(u_tau, 0.5, 2.0).values.tobytes()
@@ -368,6 +367,30 @@ def test_process_context_validation(grid32, scalar_mats, chafee2):
         ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.1, margin=0.0)
     ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.2, dt=0.01)
     assert ctx.dt_target == 0.01
+    # evolve takes the same stride and t_end at every eps, the limit included
+    u0 = sine_field(grid32, [0.5])
+    for eps in (0.0, 0.1):
+        ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=eps, dt=0.05)
+        with pytest.raises(ValueError, match="stride must divide one time unit"):
+            ctx.evolve(u0, 0.0, 1.0, 0.3)
+        with pytest.raises(ValueError, match="t_end must be a multiple of stride"):
+            ctx.evolve(u0, 0.0, 0.6, 0.25)
+        with pytest.raises(ValueError, match="stride must be positive"):
+            ctx.evolve(u0, 0.0, 1.0, 0.0)
+
+
+def test_margin_truncation_error_decays_exponentially(grid32, scalar_mats, chafee2):
+    # the far condition pollutes the reported slice by a boundary layer that
+    # decays like exp(-margin / eps^2); against a margin-3 reference each
+    # quarter unit of margin must cut the error by at least ten
+    u0 = sine_field(grid32, [0.5])
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.3, dt=1.0 / 64)
+    ref = process_map(u0, 0.0, 1.0, replace(ctx, margin=3.0))
+    errs = [
+        (process_map(u0, 0.0, 1.0, replace(ctx, margin=m)) - ref).l2()
+        for m in (0.25, 0.5, 0.75, 1.0)
+    ]
+    assert all(a >= 10.0 * b > 0.0 for a, b in zip(errs, errs[1:])), errs
 
 
 def test_lambda0_margin_scalar_case(scalar_mats):

@@ -16,10 +16,7 @@ from cylinderlab import (
     Quasiperiodic,
     ShapeMismatch,
     eval_forcing,
-    finest_scale,
     forcing_mean,
-    forcing_period,
-    negate_forcing,
     sine_field,
     time_average,
 )
@@ -131,25 +128,23 @@ def test_forcing_validation(profiles, grid32):
 
 def test_finest_scale_cases(profiles):
     sin = profiles["sin"]
-    assert finest_scale(Constant(sin)) == math.inf
-    assert finest_scale(Periodic(sin, sin, 4.0)) == pytest.approx(PI / 2)
-    assert finest_scale(Quasiperiodic(sin, sin, 1.0, sin, 5.0)) == pytest.approx(
-        2 * PI / 5
-    )
-    assert finest_scale(Heteroclinic(sin, sin, 0.7)) == 0.7
-    assert finest_scale(Patchwork(Constant(sin), Constant(sin))) == 1.0
+    assert Constant(sin).scale == math.inf
+    assert Periodic(sin, sin, 4.0).scale == pytest.approx(PI / 2)
+    assert Quasiperiodic(sin, sin, 1.0, sin, 5.0).scale == pytest.approx(2 * PI / 5)
+    assert Heteroclinic(sin, sin, 0.7).scale == 0.7
+    assert Patchwork(Constant(sin), Constant(sin)).scale == 1.0
     g = Periodic(sin, sin, 1.0)
-    assert finest_scale(FastScaled(g, 0.1)) == pytest.approx(0.2 * PI)
+    assert FastScaled(g, 0.1).scale == pytest.approx(0.2 * PI)
 
 
 def test_forcing_period_cases(profiles):
     sin = profiles["sin"]
-    assert forcing_period(Constant(sin)) == 0.0
-    assert forcing_period(Periodic(sin, sin, 2.0)) == pytest.approx(PI)
-    assert forcing_period(FastScaled(Periodic(sin, sin, 2.0), 0.5)) == pytest.approx(PI / 2)
-    assert forcing_period(Quasiperiodic(sin, sin, 1.0, sin, math.sqrt(2))) is None
-    assert forcing_period(Patchwork(Constant(sin), Constant(sin))) is None
-    assert forcing_period(FastScaled(FastScaled(Constant(sin), 0.5), 0.5)) == 0.0
+    assert Constant(sin).period == 0.0
+    assert Periodic(sin, sin, 2.0).period == pytest.approx(PI)
+    assert FastScaled(Periodic(sin, sin, 2.0), 0.5).period == pytest.approx(PI / 2)
+    assert Quasiperiodic(sin, sin, 1.0, sin, math.sqrt(2)).period is None
+    assert Patchwork(Constant(sin), Constant(sin)).period is None
+    assert FastScaled(FastScaled(Constant(sin), 0.5), 0.5).period == 0.0
 
 
 def test_forcing_mean_cases(profiles):
@@ -178,7 +173,7 @@ def test_negate_forcing_all_variants(profiles):
         FastScaled(Periodic(sin2, sin, 1.0), 0.2),
     ]
     for g in cases:
-        ng = negate_forcing(g)
+        ng = -g
         assert type(ng) is type(g)
         for t in (0.0, 1.7, 6.2):
             np.testing.assert_allclose(
@@ -240,6 +235,9 @@ def test_average_patchwork_splits_at_switches(profiles):
     avg = time_average(g, 0.5, 1.0)
     expect = 0.5 * (sin.values + sin2.values)
     np.testing.assert_allclose(avg.values, expect, atol=1e-12)
+    # under fast scaling the switch sits at t = eps and is split there too
+    fast = time_average(FastScaled(g, 0.3), 0.15, 0.3)
+    np.testing.assert_allclose(fast.values, expect, atol=1e-12)
 
 
 def test_average_window_validation(profiles):
@@ -260,3 +258,86 @@ def test_fast_scaled_identity_property(t, eps, omega, grid32):
         eval_forcing(FastScaled(inner, eps), eps * t).values,
         eval_forcing(inner, t).values,
     )
+
+
+# ---------------------------------------------------------------------------
+# window against the per-family scalar formulas
+
+
+def _first_patch_reference(t):
+    """The scalar switching rule: g1 where |t| lies in [m^2, (m+1)^2), m even."""
+    m = int(math.floor(math.sqrt(abs(t))))
+    if (m + 1) ** 2 <= abs(t):
+        m += 1
+    elif m**2 > abs(t):
+        m -= 1
+    return m % 2 == 0
+
+
+def _reference(spec, t):
+    """Value at t by the formula of each family, spec = (family, *arguments)."""
+    family, *args = spec
+    if family == "constant":
+        return args[0].values
+    if family == "heteroclinic":
+        g_minus, g_plus, scale = args
+        w = 0.5 * (1.0 + math.tanh(t / scale))
+        return g_minus.values + w * (g_plus.values - g_minus.values)
+    if family == "periodic":
+        mean, osc, omega = args
+        return mean.values + math.sin(omega * t) * osc.values
+    if family == "quasiperiodic":
+        mean, osc1, omega1, osc2, omega2 = args
+        return mean.values + math.sin(omega1 * t) * osc1.values + math.sin(omega2 * t) * osc2.values
+    if family == "patchwork":
+        return _reference(args[0] if _first_patch_reference(t) else args[1], t)
+    inner, eps = args
+    return _reference(inner, t / eps)
+
+
+_BUILDERS = {
+    "constant": Constant,
+    "heteroclinic": Heteroclinic,
+    "periodic": Periodic,
+    "quasiperiodic": Quasiperiodic,
+}
+
+
+def _build(spec):
+    family, *args = spec
+    if family == "patchwork":
+        return Patchwork(_build(args[0]), _build(args[1]))
+    if family == "fast":
+        return FastScaled(_build(args[0]), args[1])
+    return _BUILDERS[family](*args)
+
+
+def test_window_matches_family_formulas_bit_for_bit(profiles):
+    sin, sin2, zero = profiles["sin"], profiles["sin2"], profiles["zero"]
+    periodic = ("periodic", sin2, -0.8 * sin, 1.3)
+    quasi = ("quasiperiodic", 0.2 * sin, sin, 1.0, sin2, math.sqrt(2))
+    hetero = ("heteroclinic", sin, -1.5 * sin2, 0.7)
+    patch = ("patchwork", periodic, hetero)
+    cases = [
+        ("constant", sin2),
+        periodic,
+        quasi,
+        hetero,
+        patch,
+        ("patchwork", ("constant", zero), quasi),
+        ("fast", patch, 0.3),
+        ("fast", ("fast", quasi, 0.7), 0.1),
+        ("fast", ("fast", patch, 0.5), 0.2),
+    ]
+    squares = np.array([m * m for m in range(7)], dtype=float)
+    near = np.concatenate([squares, np.nextafter(squares, -np.inf), np.nextafter(squares, np.inf)])
+    ts = np.concatenate(
+        [near, -near, 0.3 * near, 0.1 * near, np.random.default_rng(7).uniform(-40.0, 40.0, 300)]
+    )
+    for spec in cases:
+        g = _build(spec)
+        got = g.window(ts)
+        assert got.shape == (ts.size,) + sin.values.shape
+        np.testing.assert_array_equal(got, np.stack([_reference(spec, float(t)) for t in ts]))
+        for t in ts[::17]:
+            np.testing.assert_array_equal(eval_forcing(g, float(t)).values, g.window([t])[0])
