@@ -82,6 +82,28 @@ _TOL_KEYS = {
     "symbol-bounds": {"ratio_lo", "ratio_hi"},
 }
 
+# scalar params: the minimum of each integer, the sign rule of each real
+# (synthetic-power-law reads its eps as a list, so it is exempt there)
+_INTEGER_PARAMS = {"m_steps": 2, "n_trajectories": 0, "seed_count": 1, "n_rays": 1, "xi_points": 1}
+_POSITIVE = {"positive": True}
+_NONNEGATIVE = {"nonnegative": True}
+_REAL_PARAMS = {
+    "eps": _NONNEGATIVE,
+    "t_len": _POSITIVE,
+    "t_check": _NONNEGATIVE,
+    "newton_tol": _POSITIVE,
+    "t_end": _POSITIVE,
+    "dt": _POSITIVE,
+    "amplitude": {},
+    "t_track": _POSITIVE,
+    "radius": _POSITIVE,
+    "t_grow": _POSITIVE,
+    "stride": _POSITIVE,
+    "discard": _NONNEGATIVE,
+    "window0": _POSITIVE,
+    "mean_tol": _POSITIVE,
+}
+
 # experiments whose truncated cylinders read the far-boundary margin
 _MARGIN_EXPERIMENTS = {
     "trajectory-rate", "periodic-orbit", "distance-sweep", "attractor-mean", "solution-ratios",
@@ -309,9 +331,18 @@ def parse_forcing(obj, grid: SpatialGrid, k: int, path: str = "forcing") -> Forc
 
 def _validate_params(kind: str, experiment: str, params: dict, tolerances: dict):
     allowed = _PARAM_KEYS[experiment]
-    for key in params:
+    for key, value in params.items():
+        path = f"params.{key}"
         if key not in allowed:
-            _fail(f"params.{key}", f"unknown key for experiment {experiment!r}")
+            _fail(path, f"unknown key for experiment {experiment!r}")
+        if key in _INTEGER_PARAMS:
+            _integer(value, path, minimum=_INTEGER_PARAMS[key])
+        elif key in _REAL_PARAMS and experiment != "synthetic-power-law":
+            v = _number(value, path, **_REAL_PARAMS[key])
+            if key == "stride" and abs(1.0 / v - round(1.0 / v)) > 1e-9:
+                _fail(path, "must divide one time unit")
+            if key == "eps" and v > EPS_MAX:
+                _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
     allowed_tol = _TOL_KEYS[experiment]
     for key in tolerances:
         if key not in allowed_tol:

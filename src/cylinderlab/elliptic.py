@@ -3,8 +3,12 @@
 Solves a (eps^2 u_tt + u_xx) - gamma u_t - f(u) = g(t) on [tau, tau + t_len]
 with u(tau) = u_tau, homogeneous Dirichlet in x, and a far condition at the
 right end of the truncated cylinder.  All time slices are unknowns of one
-sparse block-tridiagonal system; the Jacobian is refactorized per Newton
-step with a sparse direct solver.
+sparse block-tridiagonal system.  Each Newton step is solved by GMRES,
+preconditioned by fast diagonalization: a DST-I in x splits the Jacobian,
+with f' replaced by its mean over x on each slice, into one banded time
+operator per sine mode, and the stacked modes are factored once per step.
+A step whose true residual misses a fixed bound is redone by a sparse LU
+of the assembled Jacobian.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
 initial-value problem; every eps = 0 call goes through the parabolic
@@ -20,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.fft import dst
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DegenerateData, ShapeMismatch, SingularJacobian
 from .forcing import Constant, Forcing
@@ -41,6 +47,15 @@ from .parabolic import LimitContext, StepOptions, variational_evolve
 
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
+
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+# GMRES of one Newton step: relative 2-norm tolerance, restart length and
+# restart cycles; a result whose true residual |J x - b|_inf exceeds
+# _KRYLOV_CHECK |b|_inf is redone by the sparse LU
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_RESTART = 60
+_KRYLOV_CYCLES = 2
+_KRYLOV_CHECK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,8 @@ def default_dt(eps: float) -> float:
 
 
 class _SpaceTimeSystem:
-    """Linear part, forcing vector, and Jacobian pattern of one cylinder solve.
+    """Linear part, forcing vector, Jacobian pattern and preconditioner band
+    of one cylinder solve.
 
     Unknowns are ordered (time slice, space node, component); rows are the
     initial condition (j=0), the PDE at interior slices, and the far
@@ -137,6 +153,7 @@ class _SpaceTimeSystem:
         else:
             raise TypeError(f"not a far boundary: {type(far)!r}")
         self.lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsc()
+        self._mode_band(mats, far, dt, eps, h)
 
         b = np.zeros(self.shape3)
         b[0] = u_tau.values
@@ -153,6 +170,48 @@ class _SpaceTimeSystem:
         self._jac_rows = (base + cc).ravel()
         self._jac_cols = (base + dd).ravel()
 
+    def _mode_band(self, mats: CouplingMatrices, far: FarBoundary, dt: float, eps: float, h: float):
+        """LAPACK band of the preconditioner's linear part, sine modes stacked.
+
+        The DST-I diagonalizes the Dirichlet Laplacian with eigenvalues
+        -(4/h^2) sin^2(p pi / (2(n+1))), so mode p has its own time operator
+        of (m+1)k rows ordered (slice, component): the identity row, the PDE
+        rows with a acting through eps^2/dt^2 and the eigenvalue, gamma/(2dt),
+        and the far row.  Mode p owns rows p(m+1)k ... (p+1)(m+1)k - 1.
+        """
+        m, n, k = self.m, self.n, self.k
+        kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
+        self._kl, self._ku = kl, ku
+        band = np.zeros((2 * kl + ku + 1, n * (m + 1) * k), order="F")
+        lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
+        modes = np.arange(n)[:, None]
+        inner = np.arange(1, m)[None, :]
+
+        def put(j_row, shift, c, d, vals):
+            """Add vals at row (p, j_row, c), column (p, j_row + shift, d)."""
+            cols = (modes * (m + 1) + j_row + shift) * k + d
+            band[kl + ku - shift * k + c - d, cols] += vals
+
+        e2 = eps**2 / dt**2
+        a, gam = mats.a, mats.gamma
+        for c in range(k):
+            for d in range(k):
+                put(inner, -1, c, d, e2 * a[c, d] + gam[c, d] / (2.0 * dt))
+                put(inner, 0, c, d, (lam[:, None] - 2.0 * e2) * a[c, d])
+                put(inner, 1, c, d, e2 * a[c, d] - gam[c, d] / (2.0 * dt))
+            put(0, 0, c, c, 1.0)
+            if isinstance(far, ZeroTimeDerivative):
+                for shift, w in ((0, 3.0), (-1, -4.0), (-2, 1.0)):
+                    put(m, shift, c, c, w * 0.5 / dt)
+            else:
+                put(m, 0, c, c, 1.0)
+        # columns of the PDE rows' diagonal blocks, where -mean f' goes
+        self._diag_cols = [(modes * (m + 1) + inner) * k + d for d in range(k)]
+        self._band = band
+        # the orthonormal DST-I as an n x n matrix: for the grids in use one
+        # matrix product is cheaper than per-slice transforms
+        self._sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
+
     def residual(self, u: np.ndarray) -> np.ndarray:
         r = self.lin @ u - self.b
         v = u.reshape(self.shape3)
@@ -168,12 +227,56 @@ class _SpaceTimeSystem:
         bump = sp.coo_matrix((vals, (self._jac_rows, self._jac_cols)), shape=(nuk, nuk))
         return (self.lin - bump).tocsc()
 
+    def solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x with J(values) x = rhs, J the Jacobian at values.
+
+        GMRES preconditioned by the stacked mode band with f' replaced by
+        its mean over x; if the band is singular, GMRES fails, or the true
+        residual misses the bound, the sparse LU of J solves instead.
+        """
+        m, n, k = self.m, self.n, self.k
+        shape3 = self.shape3
+        fp = self.nl.jac_f(values.reshape(shape3)[1:m])  # (m-1, n, k, k)
+        kl, ku = self._kl, self._ku
+        ab = self._band.copy(order="F")
+        fbar = fp.mean(axis=1)
+        for c in range(k):
+            for d in range(k):
+                ab[kl + ku + c - d, self._diag_cols[d]] -= fbar[:, c, d]
+        lu, piv, info = _GBTRF(ab, kl, ku, overwrite_ab=1)
+
+        def apply(x):
+            y = self.lin @ x
+            y.reshape(shape3)[1:m] -= np.einsum("jicd,jid->jic", fp, x.reshape(shape3)[1:m])
+            return y
+
+        def precondition(y):
+            # to sine modes, mode-major, by one product with the DST-I matrix
+            # (its own inverse), then the band solve, then back
+            z = self._sine @ y.reshape(shape3).transpose(1, 0, 2).reshape(n, -1)
+            z = _GBTRS(lu, kl, ku, z.ravel(), piv)[0]
+            z = self._sine @ z.reshape(n, -1)
+            return z.reshape(n, m + 1, k).transpose(1, 0, 2).ravel()
+
+        if info == 0:
+            size = rhs.shape[0]
+            x, info = gmres(
+                LinearOperator((size, size), matvec=apply, dtype=float), rhs,
+                rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
+                M=LinearOperator((size, size), matvec=precondition, dtype=float),
+            )
+            if info == 0 and np.all(np.isfinite(x)):
+                if np.max(np.abs(apply(x) - rhs)) <= _KRYLOV_CHECK * np.max(np.abs(rhs)):
+                    return x
+        return _factor_solve(self.jacobian(values), rhs)
+
     def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return _factor_solve(self.jacobian(u), -r)
+        return self.solve(u, -r)
 
 
 def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Sparse LU solve of jac x = rhs; failures surface as SingularJacobian."""
+    """Sparse LU solve of jac x = rhs, the fallback of _SpaceTimeSystem.solve;
+    failures surface as SingularJacobian."""
     try:
         lu = splu(jac)
     except RuntimeError as exc:
@@ -361,7 +464,7 @@ def variational_process(
     # rows are linear with Jacobian evaluated on the base solution
     rhs = np.zeros(system.shape3)
     rhs[0] = xi.values
-    v = _factor_solve(system.jacobian(base.values), rhs.ravel())
+    v = system.solve(base.values, rhs.ravel())
     return CylinderField(base.sgrid, base.cgrid, v.reshape(system.shape3))
 
 

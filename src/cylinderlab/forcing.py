@@ -253,8 +253,9 @@ def _patchwork_breaks(t0: float, t1: float):
 def time_average(g: Forcing, t0: float, window: float) -> Field:
     """(1/window) integral of g over [t0, t0 + window] by composite quadrature.
 
-    Patchwork windows are split at the switch points so each piece is
-    smooth, and each piece is integrated on its own child.
+    Patchwork windows are split at the switch points, and each piece is
+    averaged on its own child, recursively, so a child that is itself a
+    patchwork is split at its own switch points too.
     """
     if not window > 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -266,5 +267,5 @@ def time_average(g: Forcing, t0: float, window: float) -> Field:
     acc = np.zeros(g.profiles.shape[1:])
     for a, b in zip(cuts[:-1], cuts[1:]):
         child = g1 if _first_patch(np.array([0.5 * (a + b) / unit]))[0] else g2
-        acc += _average_smooth(child, a, b - a) * (b - a)
+        acc += time_average(child, a, b - a).values * (b - a)
     return Field(g.grid, acc / window)

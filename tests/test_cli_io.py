@@ -285,23 +285,39 @@ def test_run_wraps_library_errors_as_failed_verdict(tmp_path, configs_dir):
     assert report.verdicts[0].name == "completed"
     assert "eps_list" in report.verdicts[0].detail
 
-    # params values the config loader does not type-check fail inside the
-    # experiment; they end in the same failed verdict, naming the exception
-    for name, params, detail in (
-        ("demo-solve", {"m_steps": 1}, "at least 2 time steps"),
-        ("demo-solve", {"t_len": "two"}, "'two'"),
-        ("c07-trajectory-rate", {"stride": 0.3}, "stride must divide"),
-    ):
-        raw = json.loads((configs_dir / f"{name}.json").read_text())
-        raw["params"].update(params)
-        raw["out_dir"] = str(tmp_path / name)
-        cfg_path.write_text(json.dumps(raw))
-        report = run(load_config(str(cfg_path)), fixed_clock=True)
-        assert [v.name for v in report.verdicts] == ["completed"], params
-        assert not report.all_pass
-        assert report.tables[0].name == "error"
-        assert report.tables[0].rows[0][0] == "ValueError"
-        assert detail in report.verdicts[0].detail
+    # a rule across params keys the loader does not check fails inside the
+    # experiment; it ends in the same failed verdict, naming the exception
+    raw = json.loads((configs_dir / "c07-trajectory-rate.json").read_text())
+    raw["params"]["t_end"] = 2.1  # not a multiple of the stride 0.125
+    raw["out_dir"] = str(tmp_path / "c07")
+    cfg_path.write_text(json.dumps(raw))
+    report = run(load_config(str(cfg_path)), fixed_clock=True)
+    assert [v.name for v in report.verdicts] == ["completed"]
+    assert not report.all_pass
+    assert report.tables[0].name == "error"
+    assert report.tables[0].rows[0][0] == "ValueError"
+    assert "t_end must be a multiple of stride" in report.verdicts[0].detail
+
+
+BAD_SCALAR_PARAMS = (
+    ("demo-solve", {"m_steps": 1}, "params.m_steps: must be >= 2"),
+    ("demo-solve", {"t_len": "two"}, "params.t_len: expected a number"),
+    ("c07-trajectory-rate", {"stride": 0.3}, "params.stride: must divide one time unit"),
+)
+
+
+@pytest.mark.parametrize(
+    "name,params,message", BAD_SCALAR_PARAMS, ids=["m_steps", "t_len", "stride"]
+)
+def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, message):
+    raw = json.loads((configs_dir / f"{name}.json").read_text())
+    raw["params"].update(params)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main([raw["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path, monkeypatch):

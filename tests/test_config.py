@@ -213,6 +213,32 @@ def test_param_and_tolerance_keys_checked_per_experiment(tmp_path):
     assert cfg.params["seed_count"] == 20
 
 
+def test_scalar_params_type_and_range(tmp_path):
+    solve = {"kind": "solve-elliptic", "experiment": "solve"}
+    traj = {"kind": "converge", "experiment": "trajectory-rate"}
+    for base, params, fragment in (
+        (solve, {"m_steps": 1}, "params.m_steps: must be >= 2"),
+        (solve, {"m_steps": 10.0}, "params.m_steps: expected an integer"),
+        (solve, {"t_len": "two"}, "params.t_len: expected a number"),
+        (solve, {"t_len": 0.0}, "params.t_len: must be > 0"),
+        (solve, {"eps": -0.1}, "params.eps: must be >= 0"),
+        (solve, {"eps": 2.0}, "params.eps: exceeds the anisotropy cap"),
+        (traj, {"stride": 0.3}, "params.stride: must divide one time unit"),
+        (traj, {"stride": True}, "params.stride: expected a number"),
+        (traj, {"t_end": float("nan")}, "params.t_end: must be finite"),
+        ({}, {"seed_count": 0}, "params.seed_count: must be >= 1"),
+    ):
+        fails_with(tmp_path, minimal(**base, params=params), fragment)
+    ok = minimal(**traj, params={"stride": 0.125, "t_end": 3.0})
+    assert load_config(write(tmp_path, ok)).params["stride"] == 0.125
+    # the synthetic power law reads eps as a list
+    spl = minimal(
+        kind="converge", experiment="synthetic-power-law",
+        params={"eps": [0.4, 0.2], "distances": [0.4, 0.3]},
+    )
+    assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2]
+
+
 def test_seed_out_dir_margin_rules(tmp_path):
     fails_with(tmp_path, minimal(seed=-1), "seed: must be >= 0")
     fails_with(tmp_path, minimal(seed=1.5), "seed: expected an integer")

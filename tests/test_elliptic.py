@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from cylinderlab import (
     Clamp,
@@ -28,8 +29,11 @@ from cylinderlab import (
     sine_field,
     solve_truncated_bvp,
     variational_process,
+    ZeroTimeDerivative,
     zero_nonlinearity,
 )
+from cylinderlab import elliptic
+from cylinderlab.elliptic import _factor_solve, _SpaceTimeSystem
 from conftest import PI, disc_eig
 
 
@@ -320,6 +324,100 @@ def test_variational_frechet_ratio(grid48, scalar_mats):
 
     ratio = dd_err(1e-3) / dd_err(1e-4)
     assert 5.0 <= ratio <= 20.0
+
+
+# ---------------------------------------------------------------------------
+# Newton step: preconditioned GMRES with the sparse LU as fallback
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Count the sparse factorizations the elliptic solver makes."""
+    calls = []
+
+    def spy(jac):
+        calls.append(jac.shape)
+        return splu(jac)
+
+    monkeypatch.setattr(elliptic, "splu", spy)
+    return calls
+
+
+def coupled_problem(grid, far_kind):
+    """k = 2 with non-diagonal a and gamma, cubic f, periodic forcing."""
+    mats = CouplingMatrices(
+        2, np.array([[1.0, 0.4], [-0.3, 0.8]]), np.array([[1.0, 0.3], [0.3, 1.6]])
+    )
+    nl = cubic_nonlinearity(2.0, k=2)
+    g = Periodic(Field.zeros(grid, 2), sine_field(grid, [[0.3, -0.2]], k=2), 1.0)
+    u_tau = sine_field(grid, [[0.8, 0.5], [0.0, 0.3]], k=2)
+    if far_kind == "zero-derivative":
+        far = ZeroTimeDerivative()
+    else:
+        far = Clamp(sine_field(grid, [[0.2, -0.1]], k=2))
+    return mats, nl, g, u_tau, far
+
+
+def rel_gap(x, ref) -> float:
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+def test_coupled_step_matches_sparse_lu(grid32, far_kind, splu_calls):
+    mats, nl, g, u_tau, far = coupled_problem(grid32, far_kind)
+    cg = CylinderGrid(0.0, 1.5, 48, 0.2)
+    system = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau, far)
+    rng = np.random.default_rng(5)
+    u = np.broadcast_to(u_tau.values, system.shape3).ravel() + 0.3 * rng.standard_normal(
+        system.b.shape
+    )
+    r = system.residual(u)
+    dx = system.solve_step(u, r)
+    assert splu_calls == []  # the Krylov path solved it
+    assert rel_gap(dx, _factor_solve(system.jacobian(u), -r)) <= 1e-10
+
+    base = solve_truncated_bvp(grid32, cg, mats, nl, g, u_tau, far=far)
+    xi = sine_field(grid32, [[1.0, 0.0], [0.0, -0.5]], k=2)
+    del splu_calls[:]
+    v = variational_process(base, xi, mats, nl, far=far)
+    assert splu_calls == []
+    hom = Clamp(Field.zeros(grid32, 2)) if isinstance(far, Clamp) else far
+    ref_system = _SpaceTimeSystem(grid32, cg, mats, nl, zero_forcing(grid32, 2), xi, hom)
+    rhs = np.zeros(ref_system.shape3)
+    rhs[0] = xi.values
+    ref = _factor_solve(ref_system.jacobian(base.values), rhs.ravel())
+    assert rel_gap(v.values.ravel(), ref) <= 1e-10
+
+
+def test_scalar_window_needs_no_factorization(grid64, scalar_mats, chafee2, splu_calls):
+    # an attractor-sweep window: eps = 0.05, one time unit plus the margin
+    g = Periodic(Field.zeros(grid64), sine_field(grid64, [0.5]), 1.0)
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, g, eps=0.05)
+    u1 = process_map(sine_field(grid64, [1.2, 0.0, 0.4]), 0.0, 1.0, ctx)
+    assert np.all(np.isfinite(u1.values))
+    assert splu_calls == []
+
+
+@pytest.mark.parametrize("failure", ["gmres-info", "residual-check"])
+def test_failed_krylov_step_falls_back_to_sparse_lu(
+    grid32, scalar_mats, chafee2, monkeypatch, splu_calls, failure
+):
+    def broken_gmres(op, b, **kwargs):
+        # either GMRES admits failure, or it claims success with a result
+        # whose true residual is far off
+        return (np.zeros_like(b), 7) if failure == "gmres-info" else (0.5 * b, 0)
+
+    monkeypatch.setattr(elliptic, "gmres", broken_gmres)
+    u_tau = sine_field(grid32, [0.9, 0.2])
+    cg = CylinderGrid(0.0, 1.0, 40, 0.2)
+    system = _SpaceTimeSystem(
+        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), u_tau, ZeroTimeDerivative()
+    )
+    u = np.broadcast_to(u_tau.values, system.shape3).ravel().copy()
+    r = system.residual(u)
+    dx = system.solve_step(u, r)
+    assert len(splu_calls) == 1
+    np.testing.assert_array_equal(dx, splu(system.jacobian(u)).solve(-r))
 
 
 # ---------------------------------------------------------------------------

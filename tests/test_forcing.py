@@ -240,6 +240,15 @@ def test_average_patchwork_splits_at_switches(profiles):
     np.testing.assert_allclose(fast.values, expect, atol=1e-12)
 
 
+def test_average_nested_patchwork_splits_at_inner_switches(profiles):
+    # on [0, 1] the outer patchwork is its first child, which switches from
+    # a to b at t = 0.3 inside that piece
+    a, b = profiles["sin"], profiles["sin2"]
+    inner = FastScaled(Patchwork(Constant(a), Constant(b)), 0.3)
+    avg = time_average(Patchwork(inner, Constant(a)), 0.0, 1.0)
+    np.testing.assert_allclose(avg.values, 0.3 * a.values + 0.7 * b.values, rtol=0, atol=1e-10)
+
+
 def test_average_window_validation(profiles):
     with pytest.raises(ValueError):
         time_average(Constant(profiles["sin"]), 0.0, 0.0)
