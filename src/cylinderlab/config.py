@@ -104,6 +104,14 @@ _REAL_PARAMS = {
     "mean_tol": _POSITIVE,
 }
 
+# defaults of the params that take part in a rule across two keys; the
+# experiments read the same values
+MODAL_DECAY_DEFAULTS = {"t_len": 2.0, "t_check": 1.0}
+STRIDE_DEFAULTS = {
+    "delegation-gap": 0.25, "trajectory-rate": 0.125,
+    "structure": 0.25, "distance-sweep": 0.25, "attractor-mean": 0.25,
+}
+
 # experiments whose truncated cylinders read the far-boundary margin
 _MARGIN_EXPERIMENTS = {
     "trajectory-rate", "periodic-orbit", "distance-sweep", "attractor-mean", "solution-ratios",
@@ -145,7 +153,7 @@ class ExperimentConfig:
     tolerances: dict
     out_dir: str
     seed: int
-    margin: float
+    margin: float | None
     raw: dict = field(repr=False)
 
 
@@ -343,6 +351,17 @@ def _validate_params(kind: str, experiment: str, params: dict, tolerances: dict)
                 _fail(path, "must divide one time unit")
             if key == "eps" and v > EPS_MAX:
                 _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
+    if experiment in STRIDE_DEFAULTS:
+        stride = params.get("stride", STRIDE_DEFAULTS[experiment])
+        # an absent span key defaults to whole time units, which every
+        # stride that divides one time unit divides as well
+        for key in ("t_end", "t_grow"):
+            if key in params and abs(params[key] / stride - round(params[key] / stride)) > 1e-9:
+                _fail(f"params.{key}", f"must be a multiple of stride {stride:g}")
+    if experiment == "modal-decay":
+        t_len = params.get("t_len", MODAL_DECAY_DEFAULTS["t_len"])
+        if params.get("t_check", MODAL_DECAY_DEFAULTS["t_check"]) > t_len:
+            _fail("params.t_check", f"must not exceed t_len {t_len:g}")
     allowed_tol = _TOL_KEYS[experiment]
     for key in tolerances:
         if key not in allowed_tol:
@@ -405,9 +424,11 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         _fail("out_dir", "expected a nonempty string")
     seed = _integer(raw.get("seed", 0), "seed", minimum=0)
-    margin = _number(raw.get("margin", 2.0), "margin", positive=True)
-    if "margin" in raw and experiment not in _MARGIN_EXPERIMENTS:
-        _fail("margin", f"not used by experiment {experiment!r}")
+    margin = None  # the solver sizes the far margin itself
+    if "margin" in raw:
+        margin = _number(raw["margin"], "margin", positive=True)
+        if experiment not in _MARGIN_EXPERIMENTS:
+            _fail("margin", f"not used by experiment {experiment!r}")
 
     return ExperimentConfig(
         kind=kind,

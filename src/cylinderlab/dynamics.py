@@ -589,12 +589,11 @@ def track_periodic_solution(
         return PeriodicTrack("bounded-tracking", traj, None, float(devs.max()), rec_gap)
 
     p_eff = period if period > 0 else 1.0
+    dt, span, margin_steps = _window_grid(p_eff, ectx)
     if eps > 0:
-        dt, span, margin_steps = _window_grid(p_eff, ectx.dt_target, ectx.margin)
         m = span + margin_steps
         cgrid = CylinderGrid(0.0, m * dt, m, eps)
     else:
-        _, span, _ = _window_grid(p_eff, ectx.dt_target, 0.0)
         cgrid = CylinderGrid(0.0, p_eff, span, 0.0)
     state = {"guess": None}
 

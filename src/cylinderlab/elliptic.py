@@ -20,7 +20,7 @@ it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,10 @@ from .parabolic import LimitContext, StepOptions, variational_evolve
 
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
+# relative far-condition error the margin rule leaves at the output end of a
+# window: the GMRES tolerance of each Newton step, so truncating the cylinder
+# adds no error above what the linear solves leave
+_MARGIN_TOL = 1e-12
 
 _GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 # GMRES of one Newton step: relative 2-norm tolerance, restart length and
@@ -287,11 +291,12 @@ def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _window_grid(span: float, dt_target: float, margin: float) -> tuple[float, int, int]:
-    """(dt, span steps, margin steps): the largest dt <= dt_target that
-    divides span, and the whole steps covering span and at least margin."""
-    dt = span / math.ceil(span / dt_target - 1e-12)
-    return dt, int(round(span / dt)), int(math.ceil(margin / dt - 1e-12))
+def _window_grid(span: float, context: ProcessContext) -> tuple[float, int, int]:
+    """(dt, span steps, margin steps): the largest dt <= the context's
+    dt_target that divides span, the whole steps covering span, and the
+    context's far margin at that dt."""
+    dt = span / math.ceil(span / context.dt_target - 1e-12)
+    return dt, int(round(span / dt)), context.margin_steps(dt)
 
 
 def solve_truncated_bvp(
@@ -342,27 +347,65 @@ class ProcessContext:
     eps: float
     far: FarBoundary = ZeroTimeDerivative()
     opts: NewtonOptions = NewtonOptions()
-    margin: float = MARGIN_MIN
+    margin: float | None = None
     dt: float | None = None
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        if self.eps > 0 and self.margin <= 0:
+        if self.eps > 0 and self.margin is not None and self.margin <= 0:
             raise ValueError("margin must be positive")
 
     @property
     def dt_target(self) -> float:
         return self.dt if self.dt is not None else default_dt(self.eps)
 
+    def margin_steps(self, dt: float) -> int:
+        """Time steps of far margin behind a window of step dt.
+
+        An explicit margin is ceil(margin / dt) steps.  Without one, the
+        margin comes from the discrete time stencil: on a sine mode with
+        Laplacian eigenvalue lam, a PDE row reads
+        (A + B) u[j-1] + (mu - 2A) u[j] + (A - B) u[j+1] = 0 with
+        A = eps^2 a / dt^2, B = gamma / (2 dt) and mu = lam a - f'.  An error
+        at the far slice decays into the window like |r|^-d over d steps,
+        r the root of larger modulus of (A - B) r^2 + (mu - 2A) r + (A + B).
+        That |r| only grows as mu falls below 2A, so the lowest mode at the
+        worst f' = -k_mono bounds every mode, and the margin is the d that
+        takes |r|^-d below _MARGIN_TOL, capped at MARGIN_MIN.  The cap bites
+        once |r| nears 1 (eps above about 0.25 at dt = 1/64): the rule would
+        ask for windows of ten or more units there, on which Newton from a
+        constant guess can stall.  k > 1 keeps MARGIN_MIN; eps = 0 is an
+        initial-value problem and needs no margin.
+        """
+        if self.eps == 0.0:
+            return 0
+        if self.margin is not None:
+            return int(math.ceil(self.margin / dt - 1e-12))
+        cap = int(math.ceil(MARGIN_MIN / dt - 1e-12))
+        if self.mats.k != 1:
+            return cap
+        a, gam = float(self.mats.a[0, 0]), float(self.mats.gamma[0, 0])
+        big, b = self.eps**2 * a / dt**2, gam / (2.0 * dt)
+        if big == b:  # no u[j+1] term: the far slice never reaches the window
+            return 1
+        n, h = self.sgrid.n_interior, self.sgrid.h
+        lam1 = -(4.0 / h**2) * math.sin(math.pi / (2 * (n + 1))) ** 2
+        mu = min(lam1 * a + self.nl.k_mono, 2.0 * big)
+        r = float(np.max(np.abs(np.roots([big - b, mu - 2.0 * big, big + b]))))
+        return min(cap, max(1, math.ceil(math.log(1.0 / _MARGIN_TOL) / math.log(r))))
+
     def map(self, u0: Field, tau: float, t: float) -> Field:
         return process_map(u0, tau, t, self)
 
     def evolve(self, u0: Field, tau: float, t_end: float, stride: float) -> Trajectory:
-        """March in unit windows, harvesting slices every stride time units.
+        """March in windows of at most one time unit, harvesting slices every
+        stride time units.
 
-        Consecutive windows warm-start from the shifted previous solution,
-        which keeps Newton at one or two steps once transients decay.
+        Each window after the first starts Newton from the previous solution
+        shifted by one window, cut or extended by its last slice to the new
+        window's length; this keeps Newton at one or two steps once
+        transients decay.
         """
         if not stride > 0:
             raise ValueError("stride must be positive")
@@ -374,8 +417,8 @@ class ProcessContext:
             raise ValueError("t_end must be a multiple of stride")
         if self.eps == 0.0:
             return _limit_context(self).evolve(u0, tau, t_end, stride)
-        n_strides = int(round(n_strides))
-        dt, spw, margin_steps = _window_grid(stride, self.dt_target, self.margin)
+        n_strides, spw_unit = int(round(n_strides)), int(round(spw_unit))
+        dt, spw, margin_steps = _window_grid(stride, self)
 
         times = [tau]
         slices = [u0.values]
@@ -383,7 +426,7 @@ class ProcessContext:
         guess = None
         done = 0  # strides consumed
         while done < n_strides:
-            win = min(n_strides - done, int(round(spw_unit)))  # strides this window
+            win = min(n_strides - done, spw_unit)  # strides this window
             m_inner = win * spw
             m = m_inner + margin_steps
             start = tau + done * stride
@@ -396,13 +439,10 @@ class ProcessContext:
                 times.append(start + j * stride)
                 slices.append(u.values[j * spw])
             cur = u.slice(m_inner)
-            if m - m_inner >= m_inner:
-                tail = u.values[m_inner:]
-                ext = np.broadcast_to(u.values[m], (m + 1 - tail.shape[0],) + tail.shape[1:])
-                guess = np.concatenate([tail, ext])
-            else:
-                guess = None
             done += win
+            m_next = min(n_strides - done, spw_unit) * spw + margin_steps
+            tail = u.values[m_inner : m_inner + m_next + 1]
+            guess = np.concatenate([tail, np.repeat(tail[-1:], m_next + 1 - len(tail), axis=0)])
         return Trajectory(self.sgrid, np.array(times), np.stack(slices))
 
 
@@ -428,7 +468,7 @@ def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> 
         return u_tau
     if context.eps == 0.0:
         return _limit_context(context).map(u_tau, tau, t)
-    dt, span_steps, margin_steps = _window_grid(t - tau, context.dt_target, context.margin)
+    dt, span_steps, margin_steps = _window_grid(t - tau, context)
     m = span_steps + margin_steps
     cgrid = CylinderGrid(tau, m * dt, m, context.eps)
     u = solve_truncated_bvp(
@@ -474,23 +514,23 @@ _SLAB_STARTS = (0.0, 1.0, 2.0)
 def regularity_probe(eps_list, h: Forcing, u0: Field, context: ProcessContext):
     """Ratios rho(eps) = slab norm of the linear solution over the data norm.
 
-    Solves the f = 0 problem from u0 with right-hand side h on a cylinder
-    long enough that every reported slab sits a full margin from the far
-    end, then reports (eps, rho) rows.  The interesting output is the
-    spread max rho / min rho across eps.
+    Solves the f = 0 problem from u0 with right-hand side h on the unit slabs
+    plus the far margin of each eps, then reports (eps, rho) rows.  The data
+    norm takes h over the slabs only, so it does not depend on the margin.
+    The interesting output is the spread max rho / min rho across eps.
     """
     zero_f = zero_nonlinearity(u0.k)
-    t_len = _SLAB_STARTS[-1] + 1.0 + context.margin
-    h_times = np.linspace(0.0, t_len, 97)
+    h_times = np.linspace(0.0, _SLAB_STARTS[-1] + 1.0, 97)
     h_sq = np.array([Field(h.grid, v).l2() ** 2 for v in h.window(h_times)])
     h_norm = math.sqrt(float(np.trapezoid(h_sq, h_times)))
     if u0.l2() == 0.0 and h_norm == 0.0:
         raise DegenerateData("u0 and h both vanish")
     rows = []
     for eps in eps_list:
-        _, unit_steps, margin_steps = _window_grid(1.0, default_dt(eps), context.margin)
+        probe = replace(context, nl=zero_f, eps=float(eps), dt=None)
+        dt, unit_steps, margin_steps = _window_grid(1.0, probe)
         m = len(_SLAB_STARTS) * unit_steps + margin_steps
-        cgrid = CylinderGrid(0.0, t_len, m, float(eps))
+        cgrid = CylinderGrid(0.0, m * dt, m, float(eps))
         u = solve_truncated_bvp(
             context.sgrid, cgrid, context.mats, zero_f, h, u0,
             far=context.far, opts=context.opts,
@@ -499,21 +539,3 @@ def regularity_probe(eps_list, h: Forcing, u0: Field, context: ProcessContext):
         den = surrogate_v_norm(u0, float(eps)) + h_norm
         rows.append((float(eps), num / den))
     return rows
-
-
-def lambda0_margin(
-    mats: CouplingMatrices, nl: Nonlinearity, eps: float, lambda0: float
-) -> float:
-    """Minimal eigenvalue of Lambda0 gamma - eps^2 Lambda0^2 (a+ - 2 a- a+^{-1} a-) - K I.
-
-    Diagnostic only: nonnegative values certify the exponential weight
-    Lambda0 used in the uniqueness estimates; no solver logic depends on it.
-    """
-    ap, am = mats.a_plus, mats.a_minus
-    expr = (
-        lambda0 * mats.gamma
-        - eps**2 * lambda0**2 * (ap - 2.0 * am @ np.linalg.inv(ap) @ am)
-        - nl.k_mono * np.eye(mats.k)
-    )
-    sym = 0.5 * (expr + expr.T)
-    return float(np.linalg.eigvalsh(sym)[0])

@@ -324,7 +324,7 @@ def cubic_nonlinearity(lam: float, k: int = 1) -> Nonlinearity:
     """Componentwise f(v) = v^3 - lam v with potential v^4/4 - lam v^2/2."""
 
     def f(v):
-        return v**3 - lam * v
+        return v * v * v - lam * v
 
     def jac(v):
         v = np.asarray(v, dtype=float)

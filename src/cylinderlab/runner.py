@@ -19,7 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_forcing, parse_profile
+from .config import (
+    MODAL_DECAY_DEFAULTS,
+    STRIDE_DEFAULTS,
+    ExperimentConfig,
+    parse_forcing,
+    parse_profile,
+)
 from .dynamics import (
     CloudParams,
     _eps_forcing,
@@ -147,9 +153,9 @@ def _exp_modal_decay(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = _forcing_of(config, grid, mats.k)
     p = config.params
-    t_len = float(p.get("t_len", 2.0))
+    t_len = float(p.get("t_len", MODAL_DECAY_DEFAULTS["t_len"]))
     m = int(p.get("m_steps", 200))
-    t_check = float(p.get("t_check", 1.0))
+    t_check = float(p.get("t_check", MODAL_DECAY_DEFAULTS["t_check"]))
     u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.ones((1, mats.k))))
     tol = float(config.tolerances.get("rel_err", 0.01))
 
@@ -290,7 +296,7 @@ def _exp_structure(config: ExperimentConfig, report: Report):
     p = config.params
     radius = float(p.get("radius", 2e-4))
     t_grow = float(p.get("t_grow", 18.0))
-    stride = float(p.get("stride", 0.25))
+    stride = float(p.get("stride", STRIDE_DEFAULTS["structure"]))
     n_rays = int(p.get("n_rays", 16))
     tol = float(config.tolerances.get("endpoint_tol", 1e-3))
 
@@ -351,7 +357,7 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
     g = _forcing_of(config, grid, mats.k)
     p = config.params
     t_end = float(p.get("t_end", 2.0))
-    stride = float(p.get("stride", 0.25))
+    stride = float(p.get("stride", STRIDE_DEFAULTS["delegation-gap"]))
     u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.5)))
     tol = float(config.tolerances.get("rel_gap", 1e-6))
 
@@ -383,7 +389,7 @@ def _exp_trajectory_rate(config: ExperimentConfig, report: Report):
     g = _forcing_of(config, grid, mats.k)
     p = config.params
     t_end = float(p.get("t_end", 3.0))
-    stride = float(p.get("stride", 0.125))
+    stride = float(p.get("stride", STRIDE_DEFAULTS["trajectory-rate"]))
     u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.4)))
     ctx = _context(config, grid, mats, nl, g, eps=0.0)
 

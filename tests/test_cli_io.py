@@ -19,6 +19,7 @@ from cylinderlab import (
 )
 from cylinderlab.cli import main
 from cylinderlab.reports import fit_plot_svg, report_json
+from cylinderlab import runner
 from cylinderlab.runner import _max_workers
 
 
@@ -269,7 +270,7 @@ def test_run_modal_decay_small(tmp_path):
     assert 0 < rel < 0.01
 
 
-def test_run_wraps_library_errors_as_failed_verdict(tmp_path, configs_dir):
+def test_run_wraps_library_errors_as_failed_verdict(tmp_path, monkeypatch):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(json.dumps({
         "version": 1,
@@ -285,29 +286,31 @@ def test_run_wraps_library_errors_as_failed_verdict(tmp_path, configs_dir):
     assert report.verdicts[0].name == "completed"
     assert "eps_list" in report.verdicts[0].detail
 
-    # a rule across params keys the loader does not check fails inside the
-    # experiment; it ends in the same failed verdict, naming the exception
-    raw = json.loads((configs_dir / "c07-trajectory-rate.json").read_text())
-    raw["params"]["t_end"] = 2.1  # not a multiple of the stride 0.125
-    raw["out_dir"] = str(tmp_path / "c07")
-    cfg_path.write_text(json.dumps(raw))
+    # any other exception inside an experiment ends in the same failed
+    # verdict, naming the exception
+    def broken(config, report):
+        raise ValueError("broken experiment")
+
+    monkeypatch.setitem(runner._EXPERIMENTS, "modal-decay", broken)
     report = run(load_config(str(cfg_path)), fixed_clock=True)
     assert [v.name for v in report.verdicts] == ["completed"]
     assert not report.all_pass
     assert report.tables[0].name == "error"
     assert report.tables[0].rows[0][0] == "ValueError"
-    assert "t_end must be a multiple of stride" in report.verdicts[0].detail
+    assert report.verdicts[0].detail == "broken experiment"
 
 
 BAD_SCALAR_PARAMS = (
     ("demo-solve", {"m_steps": 1}, "params.m_steps: must be >= 2"),
     ("demo-solve", {"t_len": "two"}, "params.t_len: expected a number"),
     ("c07-trajectory-rate", {"stride": 0.3}, "params.stride: must divide one time unit"),
+    ("c02-modal-decay", {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
+    ("c07-trajectory-rate", {"t_end": 2.1}, "params.t_end: must be a multiple of stride 0.125"),
 )
 
 
 @pytest.mark.parametrize(
-    "name,params,message", BAD_SCALAR_PARAMS, ids=["m_steps", "t_len", "stride"]
+    "name,params,message", BAD_SCALAR_PARAMS, ids=["m_steps", "t_len", "stride", "t_check", "t_end"]
 )
 def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, message):
     raw = json.loads((configs_dir / f"{name}.json").read_text())

@@ -44,7 +44,7 @@ def test_minimal_roundtrip_and_defaults(tmp_path):
     assert cfg.params == {} and cfg.tolerances == {}
     assert cfg.out_dir == "lab-out"
     assert cfg.seed == 0
-    assert cfg.margin == 2.0
+    assert cfg.margin is None
     assert cfg.forcing is None
     grid = cfg.problem.grid()
     assert isinstance(grid, SpatialGrid) and grid.n_interior == 16
@@ -237,6 +237,29 @@ def test_scalar_params_type_and_range(tmp_path):
         params={"eps": [0.4, 0.2], "distances": [0.4, 0.3]},
     )
     assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2]
+
+
+def test_params_rules_across_keys(tmp_path):
+    modal = {"kind": "solve-elliptic", "experiment": "modal-decay"}
+    traj = {"kind": "converge", "experiment": "trajectory-rate"}
+    sweep = {"kind": "attractor", "experiment": "distance-sweep"}
+    for base, params, fragment in (
+        # t_check is read against the default t_len 2 when t_len is absent
+        (modal, {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
+        (modal, {"t_len": 0.5}, "params.t_check: must not exceed t_len 0.5"),
+        # t_end is read against the default stride 0.125 when stride is absent
+        (traj, {"t_end": 2.1}, "params.t_end: must be a multiple of stride 0.125"),
+        (traj, {"t_end": 2.1, "stride": 0.5}, "params.t_end: must be a multiple of stride 0.5"),
+        (sweep, {"t_grow": 2.6}, "params.t_grow: must be a multiple of stride 0.25"),
+    ):
+        fails_with(tmp_path, minimal(**base, params=params), fragment)
+    for base, params in (
+        (modal, {"t_check": 2.0}),
+        (modal, {"t_len": 5.0, "t_check": 4.5}),
+        (traj, {"t_end": 2.125}),
+        (sweep, {"t_grow": 2.5}),
+    ):
+        assert load_config(write(tmp_path, minimal(**base, params=params))).params == params
 
 
 def test_seed_out_dir_margin_rules(tmp_path):

@@ -21,7 +21,6 @@ from cylinderlab import (
     StepOptions,
     cubic_nonlinearity,
     default_dt,
-    lambda0_margin,
     linear_nonlinearity,
     process_map,
     regularity_probe,
@@ -421,6 +420,120 @@ def test_failed_krylov_step_falls_back_to_sparse_lu(
 
 
 # ---------------------------------------------------------------------------
+# far margin
+
+
+@pytest.mark.parametrize(
+    "eps,dt,steps", [(0.2, 1 / 64, 73), (0.1, 1 / 64, 14), (0.05, 0.0125, 34), (0.6, 1 / 64, 128)]
+)
+def test_margin_rule_from_the_fast_root(grid64, scalar_mats, chafee2, eps, dt, steps):
+    # attractor-sweep windows: the stencil's fast root |r| is 1.46, 8.02 and
+    # 2.30, and |r|^-steps is the first power below 1e-12; at eps = 0.6,
+    # |r| = 1.02 and the margin stops at the two-unit cap
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, zero_forcing(grid64), eps=eps)
+    assert ctx.dt_target == dt
+    assert ctx.margin_steps(dt) == steps
+    # eps = 0 is an initial-value problem and needs no margin
+    assert replace(ctx, eps=0.0).margin_steps(dt) == 0
+
+
+@pytest.fixture
+def newton_iterations(monkeypatch):
+    """Newton iterations of each space-time solve, in call order."""
+    counts = []
+    real = elliptic.damped_newton
+
+    def spy(*args, **kwargs):
+        x, trace = real(*args, **kwargs)
+        counts.append(len(trace) - 1)
+        return x, trace
+
+    monkeypatch.setattr(elliptic, "damped_newton", spy)
+    return counts
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_margin_rule_matches_margin_two(grid64, scalar_mats, chafee2, newton_iterations, eps):
+    # the rule's short margins leave every slice where the two-unit margin
+    # puts it, and the warm start keeps Newton from working harder; t_end
+    # 2.5 ends on a half window
+    g = Periodic(Field.zeros(grid64), sine_field(grid64, [0.5]), 1.0)
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, g, eps=eps)
+    u0 = sine_field(grid64, [1.2, 0.0, 0.4])
+    rule = ctx.evolve(u0, 0.0, 2.5, 0.25)
+    rule_iters = sum(newton_iterations)
+    del newton_iterations[:]
+    wide = replace(ctx, margin=2.0).evolve(u0, 0.0, 2.5, 0.25)
+    assert np.max(np.abs(rule.values - wide.values)) <= 1e-10
+    assert rule_iters <= sum(newton_iterations)
+
+
+def test_evolve_warm_start_saves_newton_iterations(
+    grid64, scalar_mats, chafee2, newton_iterations, monkeypatch
+):
+    # every window after the first starts from the shifted solution; the
+    # same windows started from the constant extension take more steps
+    g = Periodic(Field.zeros(grid64), sine_field(grid64, [0.5]), 1.0)
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, g, eps=0.2)
+    u0 = sine_field(grid64, [1.2, 0.0, 0.4])
+    ctx.evolve(u0, 0.0, 2.5, 0.25)
+    warm_iters = sum(newton_iterations)
+    del newton_iterations[:]
+    real = elliptic.solve_truncated_bvp
+
+    def cold(*args, guess=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_truncated_bvp", cold)
+    ctx.evolve(u0, 0.0, 2.5, 0.25)
+    assert warm_iters < sum(newton_iterations)
+
+
+def test_explicit_margin_keeps_its_steps(grid32, scalar_mats, chafee2, monkeypatch):
+    # margin 1.0 at dt = 1/64 is exactly 64 steps, not 65
+    windows = []
+    real = elliptic.solve_truncated_bvp
+
+    def spy(sgrid, cgrid, *args, **kwargs):
+        windows.append(cgrid.m_steps)
+        return real(sgrid, cgrid, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_truncated_bvp", spy)
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.1, margin=1.0)
+    ctx.evolve(sine_field(grid32, [0.5]), 0.0, 1.5, 0.25)
+    assert windows == [64 + 64, 32 + 64]
+    for margin in (1.0, 0.3, 2.0):
+        for dt in (1 / 64, 0.0125, 0.1 / 3):
+            steps = replace(ctx, margin=margin).margin_steps(dt)
+            assert steps == math.ceil(margin / dt - 1e-12)
+
+
+def test_coupled_margin_stays_at_two_units(grid32):
+    # k > 1 has no stencil root to size the margin from; it keeps MARGIN_MIN
+    mats = CouplingMatrices(2, np.array([[1.0, 0.4], [-0.3, 0.8]]), np.array([[1.0, 0.3], [0.3, 1.6]]))
+    nl = cubic_nonlinearity(2.0, k=2)
+    ctx = ProcessContext(grid32, mats, nl, zero_forcing(grid32, 2), eps=0.1)
+    assert ctx.margin_steps(1 / 64) == 128
+    u0 = sine_field(grid32, [[0.6, 0.0], [0.0, -0.3]], k=2)
+    rule = ctx.evolve(u0, 0.0, 1.5, 0.5)
+    wide = replace(ctx, margin=2.0).evolve(u0, 0.0, 1.5, 0.5)
+    np.testing.assert_array_equal(rule.values, wide.values)
+
+
+@pytest.mark.parametrize("t_end", [1.5, 2.5])
+def test_evolve_ends_on_a_partial_window(grid32, scalar_mats, chafee2, t_end):
+    # the last window is shorter than the ones before; the warm start must
+    # be cut to its length, and the slices match a run that goes on
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.1)
+    u0 = sine_field(grid32, [0.5, 0.2])
+    short = ctx.evolve(u0, 0.0, t_end, 0.25)
+    full = ctx.evolve(u0, 0.0, t_end + 0.5, 0.25)
+    n = short.times.shape[0]
+    np.testing.assert_allclose(short.times, full.times[:n], atol=1e-12)
+    assert np.max(np.abs(short.values - full.values[:n])) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # regularity probe
 
 
@@ -442,6 +555,19 @@ def test_probe_modal_ratios_are_flat(grid48, scalar_mats):
     ratios = [r for _, r in rows]
     assert all(r > 0 and math.isfinite(r) for r in ratios)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+def test_probe_ratios_do_not_depend_on_the_margin(grid32, scalar_mats):
+    # the margin only truncates the cylinder: the data norm takes h over the
+    # slabs, so a wider margin moves rho by the truncation error alone
+    ctx = ProcessContext(
+        grid32, scalar_mats, zero_nonlinearity(), zero_forcing(grid32), eps=0.0
+    )
+    h = Constant(sine_field(grid32, [1.0]))
+    u0 = sine_field(grid32, [1.0])
+    rule = regularity_probe([0.1], h, u0, ctx)
+    wide = regularity_probe([0.1], h, u0, replace(ctx, margin=3.0))
+    assert rule[0][1] == pytest.approx(wide[0][1], rel=1e-9)
 
 
 def test_probe_forced_problem_finite(grid48, scalar_mats):
@@ -489,13 +615,3 @@ def test_margin_truncation_error_decays_exponentially(grid32, scalar_mats, chafe
         for m in (0.25, 0.5, 0.75, 1.0)
     ]
     assert all(a >= 10.0 * b > 0.0 for a, b in zip(errs, errs[1:])), errs
-
-
-def test_lambda0_margin_scalar_case(scalar_mats):
-    # k = 1, a = gamma = 1, f = 0: the expression collapses to
-    # lambda0 - eps^2 lambda0^2
-    nl = zero_nonlinearity()
-    assert lambda0_margin(scalar_mats, nl, 0.5, 1.0) == pytest.approx(0.75)
-    assert lambda0_margin(scalar_mats, nl, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    # a monotonicity defect shifts the margin down by k_mono
-    assert lambda0_margin(scalar_mats, cubic_nonlinearity(2.0), 0.5, 1.0) == pytest.approx(-1.25)
