@@ -104,6 +104,15 @@ _REAL_PARAMS = {
     "mean_tol": _POSITIVE,
 }
 
+# list params: the shortest list and the sign rule of each entry ("pairs"
+# holds [alpha, beta] pairs and is checked on its own)
+_LIST_PARAMS = {
+    "deltas": (2, _POSITIVE),
+    "sweep_lambda": (1, {}),
+    "eps_grid": (1, _NONNEGATIVE),
+    "xi_range": (2, {}),
+}
+
 # defaults of the params that take part in a rule across two keys; the
 # experiments read the same values
 MODAL_DECAY_DEFAULTS = {"t_len": 2.0, "t_check": 1.0}
@@ -183,6 +192,13 @@ def _number(obj, path: str, positive=False, nonnegative=False) -> float:
     if nonnegative and v < 0:
         _fail(path, "must be >= 0")
     return v
+
+
+def _numbers(obj, path: str, min_len: int, **sign) -> list[float]:
+    if not isinstance(obj, list) or len(obj) < min_len:
+        _fail(path, f"expected a list of at least {min_len} numbers" if min_len > 1 else
+              "expected a nonempty list of numbers")
+    return [_number(v, f"{path}[{i}]", **sign) for i, v in enumerate(obj)]
 
 
 def _integer(obj, path: str, minimum=None) -> int:
@@ -351,6 +367,18 @@ def _validate_params(kind: str, experiment: str, params: dict, tolerances: dict)
                 _fail(path, "must divide one time unit")
             if key == "eps" and v > EPS_MAX:
                 _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
+        elif key in _LIST_PARAMS:
+            vals = _numbers(value, path, _LIST_PARAMS[key][0], **_LIST_PARAMS[key][1])
+            if key == "xi_range" and (len(vals) != 2 or vals[0] >= vals[1]):
+                _fail(path, "expected [lo, hi] with lo < hi")
+        elif key == "pairs":
+            if not isinstance(value, list) or not value:
+                _fail(path, "expected a nonempty list of [alpha, beta] pairs")
+            for i, pair in enumerate(value):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    _fail(f"{path}[{i}]", "expected an [alpha, beta] pair")
+                _number(pair[0], f"{path}[{i}][0]", positive=True)
+                _number(pair[1], f"{path}[{i}][1]")
     if experiment in STRIDE_DEFAULTS:
         stride = params.get("stride", STRIDE_DEFAULTS[experiment])
         # an absent span key defaults to whole time units, which every

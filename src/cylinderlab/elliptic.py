@@ -8,7 +8,10 @@ preconditioned by fast diagonalization: a DST-I in x splits the Jacobian,
 with f' replaced by its mean over x on each slice, into one banded time
 operator per sine mode, and the stacked modes are factored once per step.
 A step whose true residual misses a fixed bound is redone by a sparse LU
-of the assembled Jacobian.
+of the assembled Jacobian.  The linear part, the preconditioner band and
+the index maps depend on the window shape only; they are built once per
+shape, cached and shared read-only, so a window builds only its
+right-hand side.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
 initial-value problem; every eps = 0 call goes through the parabolic
@@ -19,6 +22,7 @@ it).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -84,9 +88,109 @@ def default_dt(eps: float) -> float:
     return min(eps / 4.0, DT_CAP)
 
 
+# window shapes whose space-time operators stay cached: an evolve uses two
+# per eps (full windows and a partial last one), a period-map sweep one
+_OPERATOR_CACHE = 8
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def _space_time_operator(
+    sgrid: SpatialGrid, m: int, dt: float, eps: float, k: int,
+    a_bytes: bytes, gamma_bytes: bytes, clamp: bool,
+):
+    """Shape-only part of a _SpaceTimeSystem, shared read-only by every
+    window of one shape: the linear part (CSC), the preconditioner's mode
+    band with kl, ku and the columns of the PDE rows' diagonal blocks, the
+    DST-I matrix, and the row/column pattern of the f' blocks.
+
+    The band stacks one time operator per sine mode: the DST-I diagonalizes
+    the Dirichlet Laplacian with eigenvalues -(4/h^2) sin^2(p pi / (2(n+1))),
+    so mode p has (m+1)k rows ordered (slice, component): the identity row,
+    the PDE rows with a acting through eps^2/dt^2 and the eigenvalue,
+    gamma/(2dt), and the far row.  Mode p owns rows p(m+1)k ... (p+1)(m+1)k - 1.
+    """
+    n, h = sgrid.n_interior, sgrid.h
+    a = np.frombuffer(a_bytes).reshape(k, k)
+    gam = np.frombuffer(gamma_bytes).reshape(k, k)
+
+    rows = np.arange(1, m)
+    one = np.ones(m - 1)
+    sz = (m + 1, m + 1)
+    t2 = sp.coo_matrix(
+        (
+            np.concatenate([one, -2.0 * one, one]),
+            (np.tile(rows, 3), np.concatenate([rows - 1, rows, rows + 1])),
+        ),
+        shape=sz,
+    )
+    t1 = sp.coo_matrix(
+        (
+            np.concatenate([-0.5 * one, 0.5 * one]),
+            (np.tile(rows, 2), np.concatenate([rows - 1, rows + 1])),
+        ),
+        shape=sz,
+    )
+    t0 = sp.coo_matrix((one, (rows, rows)), shape=sz)
+    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+    eye_n = sp.identity(n)
+    a_sp, gam_sp = sp.csr_matrix(a), sp.csr_matrix(gam)
+    lin = (
+        (eps**2 / dt**2) * sp.kron(t2, sp.kron(eye_n, a_sp))
+        + sp.kron(t0, sp.kron(lap, a_sp))
+        - (1.0 / dt) * sp.kron(t1, sp.kron(eye_n, gam_sp))
+    )
+    e0 = sp.coo_matrix(([1.0], ([0], [0])), shape=sz)
+    lin = lin + sp.kron(e0, sp.identity(n * k))
+    if clamp:
+        efar = sp.coo_matrix(([1.0], ([m], [m])), shape=sz)
+    else:
+        c = 0.5 / dt
+        efar = sp.coo_matrix(([3.0 * c, -4.0 * c, c], ([m, m, m], [m, m - 1, m - 2])), shape=sz)
+    lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsc()
+
+    kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
+    band = np.zeros((2 * kl + ku + 1, n * (m + 1) * k), order="F")
+    lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
+    modes = np.arange(n)[:, None]
+    inner = np.arange(1, m)[None, :]
+
+    def put(j_row, shift, c, d, vals):
+        """Add vals at row (p, j_row, c), column (p, j_row + shift, d)."""
+        cols = (modes * (m + 1) + j_row + shift) * k + d
+        band[kl + ku - shift * k + c - d, cols] += vals
+
+    e2 = eps**2 / dt**2
+    for c in range(k):
+        for d in range(k):
+            put(inner, -1, c, d, e2 * a[c, d] + gam[c, d] / (2.0 * dt))
+            put(inner, 0, c, d, (lam[:, None] - 2.0 * e2) * a[c, d])
+            put(inner, 1, c, d, e2 * a[c, d] - gam[c, d] / (2.0 * dt))
+        put(0, 0, c, c, 1.0)
+        if clamp:
+            put(m, 0, c, c, 1.0)
+        else:
+            for shift, w in ((0, 3.0), (-1, -4.0), (-2, 1.0)):
+                put(m, shift, c, c, w * 0.5 / dt)
+    # columns of the PDE rows' diagonal blocks, where -mean f' goes
+    diag_cols = tuple((modes * (m + 1) + inner) * k + d for d in range(k))
+    # the orthonormal DST-I as an n x n matrix: for the grids in use one
+    # matrix product is cheaper than per-slice transforms
+    sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
+
+    # index pattern of the f' blocks on the PDE rows, (j, i, c, d) order
+    jj, ii, cc, dd = np.meshgrid(
+        np.arange(1, m), np.arange(n), np.arange(k), np.arange(k), indexing="ij"
+    )
+    base = jj * (n * k) + ii * k
+    jac_rows, jac_cols = (base + cc).ravel(), (base + dd).ravel()
+    for arr in (lin.data, lin.indices, lin.indptr, band, sine, jac_rows, jac_cols, *diag_cols):
+        arr.setflags(write=False)
+    return lin, band, kl, ku, diag_cols, sine, jac_rows, jac_cols
+
+
 class _SpaceTimeSystem:
-    """Linear part, forcing vector, Jacobian pattern and preconditioner band
-    of one cylinder solve.
+    """One cylinder solve: the cached operator of its window shape (linear
+    part, Jacobian pattern, preconditioner band) and its own right-hand side.
 
     Unknowns are ordered (time slice, space node, component); rows are the
     initial condition (j=0), the PDE at interior slices, and the far
@@ -111,53 +215,21 @@ class _SpaceTimeSystem:
             raise ShapeMismatch(f"matrix k={mats.k} vs nonlinearity k={nl.k}")
         if u_tau.grid != sgrid or u_tau.k != k:
             raise ShapeMismatch("u_tau does not match the declared grids")
-        dt, eps, h = cgrid.dt, cgrid.eps, sgrid.h
+        if isinstance(far, Clamp):
+            if far.profile.grid != sgrid or far.profile.k != k:
+                raise ShapeMismatch("clamp profile does not match the grids")
+        elif not isinstance(far, ZeroTimeDerivative):
+            raise TypeError(f"not a far boundary: {type(far)!r}")
         self.shape3 = (m + 1, n, k)
         self.m, self.n, self.k = m, n, k
         self.nl = nl
-
-        rows = np.arange(1, m)
-        one = np.ones(m - 1)
-        sz = (m + 1, m + 1)
-        t2 = sp.coo_matrix(
-            (
-                np.concatenate([one, -2.0 * one, one]),
-                (np.tile(rows, 3), np.concatenate([rows - 1, rows, rows + 1])),
-            ),
-            shape=sz,
+        (
+            self.lin, self._band, self._kl, self._ku, self._diag_cols, self._sine,
+            self._jac_rows, self._jac_cols,
+        ) = _space_time_operator(
+            sgrid, m, cgrid.dt, cgrid.eps, k,
+            mats.a.tobytes(), mats.gamma.tobytes(), isinstance(far, Clamp),
         )
-        t1 = sp.coo_matrix(
-            (
-                np.concatenate([-0.5 * one, 0.5 * one]),
-                (np.tile(rows, 2), np.concatenate([rows - 1, rows + 1])),
-            ),
-            shape=sz,
-        )
-        t0 = sp.coo_matrix((one, (rows, rows)), shape=sz)
-        lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
-        eye_n = sp.identity(n)
-        a = sp.csr_matrix(mats.a)
-        gam = sp.csr_matrix(mats.gamma)
-        lin = (
-            (eps**2 / dt**2) * sp.kron(t2, sp.kron(eye_n, a))
-            + sp.kron(t0, sp.kron(lap, a))
-            - (1.0 / dt) * sp.kron(t1, sp.kron(eye_n, gam))
-        )
-        e0 = sp.coo_matrix(([1.0], ([0], [0])), shape=sz)
-        lin = lin + sp.kron(e0, sp.identity(n * k))
-        if isinstance(far, ZeroTimeDerivative):
-            c = 0.5 / dt
-            efar = sp.coo_matrix(
-                ([3.0 * c, -4.0 * c, c], ([m, m, m], [m, m - 1, m - 2])), shape=sz
-            )
-        elif isinstance(far, Clamp):
-            if far.profile.grid != sgrid or far.profile.k != k:
-                raise ShapeMismatch("clamp profile does not match the grids")
-            efar = sp.coo_matrix(([1.0], ([m], [m])), shape=sz)
-        else:
-            raise TypeError(f"not a far boundary: {type(far)!r}")
-        self.lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsc()
-        self._mode_band(mats, far, dt, eps, h)
 
         b = np.zeros(self.shape3)
         b[0] = u_tau.values
@@ -165,56 +237,6 @@ class _SpaceTimeSystem:
         if isinstance(far, Clamp):
             b[m] = far.profile.values
         self.b = b.ravel()
-
-        # index pattern of the f' blocks on the PDE rows, (j, i, c, d) order
-        jj, ii, cc, dd = np.meshgrid(
-            np.arange(1, m), np.arange(n), np.arange(k), np.arange(k), indexing="ij"
-        )
-        base = jj * (n * k) + ii * k
-        self._jac_rows = (base + cc).ravel()
-        self._jac_cols = (base + dd).ravel()
-
-    def _mode_band(self, mats: CouplingMatrices, far: FarBoundary, dt: float, eps: float, h: float):
-        """LAPACK band of the preconditioner's linear part, sine modes stacked.
-
-        The DST-I diagonalizes the Dirichlet Laplacian with eigenvalues
-        -(4/h^2) sin^2(p pi / (2(n+1))), so mode p has its own time operator
-        of (m+1)k rows ordered (slice, component): the identity row, the PDE
-        rows with a acting through eps^2/dt^2 and the eigenvalue, gamma/(2dt),
-        and the far row.  Mode p owns rows p(m+1)k ... (p+1)(m+1)k - 1.
-        """
-        m, n, k = self.m, self.n, self.k
-        kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
-        self._kl, self._ku = kl, ku
-        band = np.zeros((2 * kl + ku + 1, n * (m + 1) * k), order="F")
-        lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
-        modes = np.arange(n)[:, None]
-        inner = np.arange(1, m)[None, :]
-
-        def put(j_row, shift, c, d, vals):
-            """Add vals at row (p, j_row, c), column (p, j_row + shift, d)."""
-            cols = (modes * (m + 1) + j_row + shift) * k + d
-            band[kl + ku - shift * k + c - d, cols] += vals
-
-        e2 = eps**2 / dt**2
-        a, gam = mats.a, mats.gamma
-        for c in range(k):
-            for d in range(k):
-                put(inner, -1, c, d, e2 * a[c, d] + gam[c, d] / (2.0 * dt))
-                put(inner, 0, c, d, (lam[:, None] - 2.0 * e2) * a[c, d])
-                put(inner, 1, c, d, e2 * a[c, d] - gam[c, d] / (2.0 * dt))
-            put(0, 0, c, c, 1.0)
-            if isinstance(far, ZeroTimeDerivative):
-                for shift, w in ((0, 3.0), (-1, -4.0), (-2, 1.0)):
-                    put(m, shift, c, c, w * 0.5 / dt)
-            else:
-                put(m, 0, c, c, 1.0)
-        # columns of the PDE rows' diagonal blocks, where -mean f' goes
-        self._diag_cols = [(modes * (m + 1) + inner) * k + d for d in range(k)]
-        self._band = band
-        # the orthonormal DST-I as an n x n matrix: for the grids in use one
-        # matrix product is cheaper than per-slice transforms
-        self._sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         r = self.lin @ u - self.b

@@ -386,69 +386,6 @@ def linear_nonlinearity(c: float, k: int = 1) -> Nonlinearity:
     return Nonlinearity(k, f, jac, 0.0, max(0.0, -c), 1.0, pot, name=f"linear(c={c})")
 
 
-@dataclass(frozen=True)
-class NonlinearityReport:
-    """Sampled structural checks.
-
-    A pass needs both margins above -1e-8, the declared Jacobian within
-    1e-6 of finite differences, and (when a potential is declared) the
-    gradient structure within 1e-8.
-    """
-
-    diss_margin: float
-    mono_margin: float
-    grad_mismatch: Optional[float]
-    jac_mismatch: float
-    passed: bool
-
-
-def check_nonlinearity(nl: Nonlinearity, samples) -> NonlinearityReport:
-    """Verify dissipativity, monotonicity bound and gradient structure on samples."""
-    V = np.asarray(samples, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.ndim != 2 or V.shape[1] != nl.k:
-        raise ShapeMismatch(f"samples must have shape (m, {nl.k}), got {V.shape}")
-    fV = np.asarray(nl.f(V), dtype=float)
-    JV = np.asarray(nl.jac_f(V), dtype=float)
-    if not np.all(np.isfinite(fV)) or not np.all(np.isfinite(JV)):
-        raise NonFiniteValue("nonlinearity returned non-finite values on samples")
-
-    diss = float(np.min(np.sum(fV * V, axis=-1) + nl.c_diss))
-    sym = 0.5 * (JV + np.swapaxes(JV, -1, -2))
-    mono = float(np.min(np.linalg.eigvalsh(sym)) + nl.k_mono)
-
-    # central finite differences, step scaled to the sample magnitude
-    step = 1e-6 * np.maximum(1.0, np.abs(V))
-    jac_err = 0.0
-    grad_err = None
-    fd_jac = np.zeros_like(JV)
-    for c in range(nl.k):
-        e = np.zeros_like(V)
-        e[:, c] = step[:, c]
-        fd_jac[..., c] = (np.asarray(nl.f(V + e)) - np.asarray(nl.f(V - e))) / (
-            2.0 * step[:, c][:, None]
-        )
-    jac_err = float(np.max(np.abs(fd_jac - JV)))
-    if nl.potential_F is not None:
-        fd_grad = np.zeros_like(fV)
-        for c in range(nl.k):
-            e = np.zeros_like(V)
-            e[:, c] = step[:, c]
-            fd_grad[:, c] = (
-                np.asarray(nl.potential_F(V + e)) - np.asarray(nl.potential_F(V - e))
-            ) / (2.0 * step[:, c])
-        grad_err = float(np.max(np.abs(fd_grad - fV)))
-
-    passed = (
-        diss >= -1e-8
-        and mono >= -1e-8
-        and jac_err <= 1e-6
-        and (grad_err is None or grad_err <= 1e-8)
-    )
-    return NonlinearityReport(diss, mono, grad_err, jac_err, passed)
-
-
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -465,30 +402,6 @@ def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     p = _with_boundary(v)
     return (p[..., :-2, :] - 2.0 * v + p[..., 2:, :]) / h**2
-
-
-def apply_elliptic_operator(u: CylinderField, mats: CouplingMatrices) -> CylinderField:
-    """Linear part a(eps^2 u_tt + u_xx) - gamma u_t on interior time slices.
-
-    Central differences in time; the first and last slices of the result are
-    zero (the stencil does not reach them).
-    """
-    if mats.k != u.k:
-        raise ShapeMismatch(f"matrix k={mats.k} vs field k={u.k}")
-    if u.cgrid.m_steps < 2:
-        raise ValueError("need m_steps >= 2 for the interior time stencil")
-    v = u.values
-    dt = u.cgrid.dt
-    eps = u.cgrid.eps
-    utt = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
-    ut = (v[2:] - v[:-2]) / (2.0 * dt)
-    lap = laplacian(v[1:-1], u.sgrid.h)
-    res = np.einsum("cd,tnd->tnc", mats.a, eps**2 * utt + lap) - np.einsum(
-        "cd,tnd->tnc", mats.gamma, ut
-    )
-    out = np.zeros_like(v)
-    out[1:-1] = res
-    return CylinderField(u.sgrid, u.cgrid, out)
 
 
 def _dt1(values: np.ndarray, dt: float) -> np.ndarray:

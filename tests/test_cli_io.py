@@ -306,11 +306,17 @@ BAD_SCALAR_PARAMS = (
     ("c07-trajectory-rate", {"stride": 0.3}, "params.stride: must divide one time unit"),
     ("c02-modal-decay", {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
     ("c07-trajectory-rate", {"t_end": 2.1}, "params.t_end: must be a multiple of stride 0.125"),
+    # list-valued keys: each of these used to load and end as a failed
+    # "completed" verdict with exit 1
+    ("c03-frechet", {"deltas": [0.001]}, "params.deltas: expected a list of at least 2 numbers"),
+    ("c12-symbol-bounds", {"xi_range": [1.0]}, "params.xi_range: expected a list of at least 2"),
+    ("c12-symbol-bounds", {"eps_grid": "abc"}, "params.eps_grid: expected a nonempty list"),
 )
 
 
 @pytest.mark.parametrize(
-    "name,params,message", BAD_SCALAR_PARAMS, ids=["m_steps", "t_len", "stride", "t_check", "t_end"]
+    "name,params,message", BAD_SCALAR_PARAMS,
+    ids=["m_steps", "t_len", "stride", "t_check", "t_end", "deltas", "xi_range", "eps_grid"],
 )
 def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, message):
     raw = json.loads((configs_dir / f"{name}.json").read_text())

@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylinderlab import ParseError, ValidationError, load_config
 from cylinderlab.config import parse_forcing, parse_profile
@@ -92,6 +95,33 @@ def test_shipped_configs_load(configs_dir):
     for p in paths:
         cfg = load_config(str(p))
         assert cfg.raw["version"] == 1
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
+)}
+# what a mutated params value becomes; None drops the key
+MUTANTS = (None, "abc", -1, -0.5, [], [[0.5, -1.0]], [[]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(n for n, raw in SHIPPED.items() if raw.get("params"))))
+    raw = json.loads(json.dumps(SHIPPED[name]))
+    params = raw["params"]
+    for key in data.draw(st.lists(st.sampled_from(sorted(params)), min_size=1, max_size=3)):
+        value = data.draw(st.sampled_from(MUTANTS))
+        if value is None:
+            params.pop(key, None)
+        else:
+            params[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(raw))
+    try:
+        load_config(str(path))
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_unknown_top_level_key(tmp_path):
@@ -258,6 +288,34 @@ def test_params_rules_across_keys(tmp_path):
         (modal, {"t_len": 5.0, "t_check": 4.5}),
         (traj, {"t_end": 2.125}),
         (sweep, {"t_grow": 2.5}),
+    ):
+        assert load_config(write(tmp_path, minimal(**base, params=params))).params == params
+
+
+def test_list_params_checked_at_load(tmp_path):
+    frechet = {"kind": "solve-elliptic", "experiment": "frechet"}
+    symbol = {"kind": "regularity-probe", "experiment": "symbol-bounds"}
+    for base, params, fragment in (
+        (frechet, {"deltas": [1e-3]}, "params.deltas: expected a list of at least 2 numbers"),
+        (frechet, {"deltas": [1e-3, -1e-4]}, "params.deltas[1]: must be > 0"),
+        ({}, {"sweep_lambda": []}, "params.sweep_lambda: expected a nonempty list of numbers"),
+        ({}, {"sweep_lambda": [1.0, "two"]}, "params.sweep_lambda[1]: expected a number"),
+        (symbol, {"pairs": []}, "params.pairs: expected a nonempty list of [alpha, beta] pairs"),
+        (symbol, {"pairs": [[1.0, 0.0], [1.0]]}, "params.pairs[1]: expected an [alpha, beta] pair"),
+        (symbol, {"pairs": [[0.0, 0.5]]}, "params.pairs[0][0]: must be > 0"),
+        (symbol, {"pairs": [[1.0, "b"]]}, "params.pairs[0][1]: expected a number"),
+        (symbol, {"eps_grid": "abc"}, "params.eps_grid: expected a nonempty list of numbers"),
+        (symbol, {"eps_grid": [0.1, -0.1]}, "params.eps_grid[1]: must be >= 0"),
+        (symbol, {"xi_range": [1.0]}, "params.xi_range: expected a list of at least 2 numbers"),
+        (symbol, {"xi_range": [3.0, -2.0]}, "params.xi_range: expected [lo, hi] with lo < hi"),
+        (symbol, {"xi_range": [-2.0, 1.0, 3.0]}, "params.xi_range: expected [lo, hi] with lo < hi"),
+        (symbol, {"xi_range": [-2.0, float("inf")]}, "params.xi_range[1]: must be finite"),
+    ):
+        fails_with(tmp_path, minimal(**base, params=params), fragment)
+    for base, params in (
+        (frechet, {"deltas": [1e-3, 1e-4, 1e-5]}),
+        ({}, {"sweep_lambda": [-1.0, 2.0]}),
+        (symbol, {"pairs": [[0.5, -0.3]], "eps_grid": [0.0, 1.0], "xi_range": [-2, 3]}),
     ):
         assert load_config(write(tmp_path, minimal(**base, params=params))).params == params
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from cylinderlab import (
     CouplingMatrices,
     CylinderGrid,
     DegenerateData,
+    FastScaled,
     Field,
     LimitContext,
     NewtonDiverged,
@@ -21,12 +24,14 @@ from cylinderlab import (
     StepOptions,
     cubic_nonlinearity,
     default_dt,
+    find_equilibria,
     linear_nonlinearity,
     process_map,
     regularity_probe,
     semigroup_evolve,
     sine_field,
     solve_truncated_bvp,
+    track_periodic_solution,
     variational_process,
     ZeroTimeDerivative,
     zero_nonlinearity,
@@ -417,6 +422,124 @@ def test_failed_krylov_step_falls_back_to_sparse_lu(
     dx = system.solve_step(u, r)
     assert len(splu_calls) == 1
     np.testing.assert_array_equal(dx, splu(system.jacobian(u)).solve(-r))
+
+
+# ---------------------------------------------------------------------------
+# operator cache
+
+
+@pytest.fixture
+def operator_builds():
+    """Builds of the shape-only space-time operator since a cold cache."""
+    elliptic._space_time_operator.cache_clear()
+    return lambda: elliptic._space_time_operator.cache_info().misses
+
+
+@pytest.mark.parametrize("t_end,builds", [(3.0, 1), (2.5, 2)])
+def test_evolve_builds_one_operator_per_window_shape(
+    grid32, scalar_mats, chafee2, operator_builds, t_end, builds
+):
+    # three full windows share one shape; 2.5 adds a half window of its own
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.1)
+    ctx.evolve(sine_field(grid32, [0.5, 0.2]), 0.0, t_end, 0.25)
+    assert operator_builds() == builds
+
+
+def test_period_map_calls_share_one_operator(grid32, scalar_mats, operator_builds, monkeypatch):
+    nl = zero_nonlinearity()
+    (origin,) = find_equilibria(scalar_mats, nl, Field.zeros(grid32), rng=np.random.default_rng(0))
+    ctx = ProcessContext(grid32, scalar_mats, nl, zero_forcing(grid32), eps=0.1)
+    per = Periodic(Field.zeros(grid32), sine_field(grid32, [0.4]), 1.0)
+    calls = []
+    real = elliptic._SpaceTimeSystem
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, "_SpaceTimeSystem", spy)
+    track = track_periodic_solution(origin, FastScaled(per, 0.1), 0.1, ctx)
+    assert track.mode == "fixed-point"
+    assert len(calls) > 2  # Newton-Krylov evaluates the period map many times
+    assert operator_builds() == 1
+
+
+def test_cached_operator_gives_the_cold_result(grid32, scalar_mats, chafee2, operator_builds):
+    # the same window from a cold cache and after another window of its
+    # shape, with other data and another forcing start, is bit-for-bit equal
+    g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 1.0)
+    u_tau = sine_field(grid32, [0.9, 0.2])
+
+    def window(tau, u):
+        cg = CylinderGrid(tau, 1.5, 96, 0.1)
+        return solve_truncated_bvp(grid32, cg, scalar_mats, chafee2, g, u).values
+
+    cold = window(0.0, u_tau)
+    window(0.7, sine_field(grid32, [-0.4, 0.0, 0.3]))
+    warm = window(0.0, u_tau)
+    assert operator_builds() == 1
+    assert np.array_equal(cold, warm)
+
+
+def test_cached_operator_is_read_only(grid32, scalar_mats, chafee2):
+    cg = CylinderGrid(0.0, 1.0, 40, 0.2)
+    system = _SpaceTimeSystem(
+        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), sine_field(grid32, [0.5]),
+        ZeroTimeDerivative(),
+    )
+    lin = system.lin
+    shared = [lin.data, lin.indices, lin.indptr, system._band, system._sine]
+    shared += [system._jac_rows, system._jac_cols, *system._diag_cols]
+    for arr in shared:
+        first = (0,) * arr.ndim
+        with pytest.raises(ValueError):
+            arr[first] = arr[first]
+
+
+def test_threads_share_the_cached_operator(grid32, scalar_mats, chafee2, operator_builds):
+    # more threads than cores solve windows of two shapes from a cold cache,
+    # switching often; each result matches its serial run bit for bit
+    g = zero_forcing(grid32)
+    jobs = [(m, sine_field(grid32, [0.3 + 0.1 * i])) for i in range(6) for m in (48, 64)]
+
+    def solve(m, u):
+        cg = CylinderGrid(0.0, m / 64, m, 0.1)
+        return solve_truncated_bvp(grid32, cg, scalar_mats, chafee2, g, u).values
+
+    serial = [solve(*job) for job in jobs]
+    elliptic._space_time_operator.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(solve, *job) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(t, s) for t, s in zip(threaded, serial))
+    assert elliptic._space_time_operator.cache_info().currsize == 2
+
+
+def test_coupled_operators_are_keyed_on_a_gamma_and_far(grid32, operator_builds):
+    mats, nl, g, u_tau, clamp = coupled_problem(grid32, "clamp")
+    other_a = CouplingMatrices(2, mats.a + 0.1 * np.eye(2), mats.gamma)
+    other_gamma = CouplingMatrices(2, mats.a, mats.gamma + 0.1 * np.eye(2))
+    cg = CylinderGrid(0.0, 1.0, 32, 0.2)
+    zero_derivative = ZeroTimeDerivative()
+    systems = [
+        _SpaceTimeSystem(grid32, cg, m, nl, g, u_tau, far)
+        for m, far in (
+            (mats, zero_derivative), (other_a, zero_derivative),
+            (other_gamma, zero_derivative), (mats, clamp),
+        )
+    ]
+    assert operator_builds() == 4
+    for i, x in enumerate(systems):
+        for y in systems[i + 1 :]:
+            assert (x.lin != y.lin).nnz > 0
+    again = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau, zero_derivative)
+    assert again.lin is systems[0].lin
+    assert operator_builds() == 4
 
 
 # ---------------------------------------------------------------------------

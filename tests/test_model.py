@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cylinderlab import (
     BranchAmbiguity,
+    Constant,
     CouplingMatrices,
     CylinderField,
     CylinderGrid,
@@ -17,8 +18,7 @@ from cylinderlab import (
     SlabOutOfRange,
     SpatialGrid,
     Trajectory,
-    apply_elliptic_operator,
-    check_nonlinearity,
+    ZeroTimeDerivative,
     cubic_nonlinearity,
     grad_cells,
     laplacian,
@@ -29,6 +29,7 @@ from cylinderlab import (
     weighted_norm,
     zero_nonlinearity,
 )
+from cylinderlab.elliptic import _SpaceTimeSystem
 from conftest import PI, disc_eig
 
 
@@ -144,44 +145,38 @@ def test_coupling_split_parts():
 # nonlinearities
 
 
+def structure_margins(nl: Nonlinearity, v: np.ndarray):
+    """(min f(v).v + c_diss, min eig sym f'(v) + k_mono) on the samples v;
+    also asserts that f' and, when declared, grad F match central
+    differences of f and F."""
+    fv, jv = nl.f(v), nl.jac_f(v)
+    step = 1e-6
+    for c in range(nl.k):
+        e = np.zeros_like(v)
+        e[:, c] = step
+        np.testing.assert_allclose(jv[..., c], (nl.f(v + e) - nl.f(v - e)) / (2 * step), atol=1e-6)
+        if nl.potential_F is not None:
+            grad = (nl.potential_F(v + e) - nl.potential_F(v - e)) / (2 * step)
+            np.testing.assert_allclose(fv[:, c], grad, atol=1e-6)
+    diss = float(np.min(np.sum(fv * v, axis=-1))) + nl.c_diss
+    mono = float(np.min(np.linalg.eigvalsh(0.5 * (jv + np.swapaxes(jv, -1, -2))))) + nl.k_mono
+    return diss, mono
+
+
 def test_check_cubic_nonlinearity():
     nl = cubic_nonlinearity(1.0)
     assert nl.c_diss == pytest.approx(0.25)
     assert nl.k_mono == pytest.approx(1.0)
-    rep = check_nonlinearity(nl, np.linspace(-2, 2, 401)[:, None])
-    assert rep.passed
+    diss, mono = structure_margins(nl, np.linspace(-2, 2, 401)[:, None])
     # v^4 - v^2 attains -1/4 exactly, so the dissipativity margin is tight
-    assert rep.diss_margin >= -1e-8
-    assert rep.diss_margin <= 1e-3
-    assert rep.mono_margin >= -1e-8
-    assert rep.grad_mismatch is not None and rep.grad_mismatch <= 1e-6
+    assert -1e-8 <= diss <= 1e-3
+    assert mono >= -1e-8
 
 
 def test_check_zero_and_linear():
-    assert check_nonlinearity(zero_nonlinearity(), np.linspace(-3, 3, 31)[:, None]).passed
-    assert check_nonlinearity(linear_nonlinearity(2.0), np.linspace(-3, 3, 31)[:, None]).passed
-
-
-def test_check_catches_wrong_jacobian():
-    good = cubic_nonlinearity(1.0)
-    bad = Nonlinearity(
-        k=1, f=good.f, jac_f=zero_nonlinearity().jac_f,
-        c_diss=good.c_diss, k_mono=good.k_mono, growth_q=3.0,
-    )
-    rep = check_nonlinearity(bad, np.linspace(-2, 2, 41)[:, None])
-    assert not rep.passed
-    assert rep.jac_mismatch > 1e-2
-    assert rep.grad_mismatch is None
-
-
-def test_check_catches_understated_dissipation():
-    base = cubic_nonlinearity(2.0)
-    lying = Nonlinearity(
-        k=1, f=base.f, jac_f=base.jac_f, c_diss=0.0, k_mono=base.k_mono, growth_q=3.0,
-    )
-    rep = check_nonlinearity(lying, np.linspace(-2, 2, 401)[:, None])
-    assert rep.diss_margin < -1e-8
-    assert not rep.passed
+    for nl in (zero_nonlinearity(), linear_nonlinearity(2.0)):
+        diss, mono = structure_margins(nl, np.linspace(-3, 3, 31)[:, None])
+        assert diss >= -1e-8 and mono >= -1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +197,20 @@ def test_laplacian_second_mode(grid128):
     np.testing.assert_allclose(laplacian(u.values, grid128.h), -lam * u.values, atol=1e-10)
 
 
+def linear_part(u: CylinderField, mats: CouplingMatrices) -> np.ndarray:
+    """a(eps^2 u_tt + u_xx) - gamma u_t on the interior slices of u, by the
+    assembled linear part of the space-time solver; the first and last
+    slices of the result are zero."""
+    k = mats.k
+    system = _SpaceTimeSystem(
+        u.sgrid, u.cgrid, mats, zero_nonlinearity(k), Constant(Field.zeros(u.sgrid, k)),
+        u.slice(0), ZeroTimeDerivative(),
+    )
+    out = (system.lin @ u.values.ravel()).reshape(system.shape3)
+    out[0] = out[-1] = 0.0
+    return out
+
+
 def _modal_cylinder(grid, mu, t_len=1.0, m_steps=16, eps=0.5, j=1):
     cg = CylinderGrid(0.0, t_len, m_steps, eps)
     prof = sine_field(grid, [0.0] * (j - 1) + [1.0]).values
@@ -212,18 +221,18 @@ def _modal_cylinder(grid, mu, t_len=1.0, m_steps=16, eps=0.5, j=1):
 def test_operator_zero_field(grid32):
     cg = CylinderGrid(0.0, 1.0, 8, 0.3)
     u = CylinderField(grid32, cg, np.zeros((9, 32, 1)))
-    out = apply_elliptic_operator(u, CouplingMatrices.scalar())
-    assert np.all(out.values == 0.0)
+    out = linear_part(u, CouplingMatrices.scalar())
+    assert np.all(out == 0.0)
 
 
 def test_operator_constant_in_time(grid64):
     # u(t, x) = sin x: time derivatives drop, interior slices are -lambda_h u
     mats = CouplingMatrices.scalar()
     u, cg = _modal_cylinder(grid64, mu=0.0, eps=0.7)
-    out = apply_elliptic_operator(u, mats)
+    out = linear_part(u, mats)
     lam = disc_eig(grid64, 1)
-    np.testing.assert_allclose(out.values[1:-1], -lam * u.values[1:-1], rtol=1e-11)
-    assert np.all(out.values[0] == 0.0) and np.all(out.values[-1] == 0.0)
+    np.testing.assert_allclose(out[1:-1], -lam * u.values[1:-1], rtol=1e-11)
+    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
 
 
 def test_operator_modal_exact_discrete(grid64):
@@ -238,9 +247,9 @@ def test_operator_modal_exact_discrete(grid64):
         - disc_eig(grid64, 1)
         - math.sinh(mu * dt) / dt
     )
-    out = apply_elliptic_operator(u, mats)
+    out = linear_part(u, mats)
     np.testing.assert_allclose(
-        out.values[1:-1], factor * u.values[1:-1], rtol=1e-9, atol=1e-11
+        out[1:-1], factor * u.values[1:-1], rtol=1e-9, atol=1e-11
     )
 
 
@@ -251,9 +260,9 @@ def test_operator_modal_continuum_rate():
     for n, m in ((32, 16), (64, 32)):
         grid = SpatialGrid(PI, n)
         u, cg = _modal_cylinder(grid, mu=mu, m_steps=m, eps=eps, j=j)
-        out = apply_elliptic_operator(u, CouplingMatrices.scalar())
+        out = linear_part(u, CouplingMatrices.scalar())
         cont = (eps**2 * mu**2 - j**2 - mu) * u.values[1:-1]
-        errs.append(float(np.max(np.abs(out.values[1:-1] - cont))))
+        errs.append(float(np.max(np.abs(out[1:-1] - cont))))
     assert errs[1] <= errs[0] / 3.0  # halving h and dt should shrink it ~4x
 
 
@@ -263,18 +272,18 @@ def test_operator_linearity(grid32):
     mats = CouplingMatrices.scalar()
     u = CylinderField(grid32, cg, rng.standard_normal((9, 32, 1)))
     v = CylinderField(grid32, cg, rng.standard_normal((9, 32, 1)))
-    lhs = apply_elliptic_operator(
+    lhs = linear_part(
         CylinderField(grid32, cg, 2.0 * u.values - 3.0 * v.values), mats
     )
-    rhs = 2.0 * apply_elliptic_operator(u, mats).values - 3.0 * apply_elliptic_operator(v, mats).values
-    np.testing.assert_allclose(lhs.values, rhs, atol=1e-10)
+    rhs = 2.0 * linear_part(u, mats) - 3.0 * linear_part(v, mats)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_operator_needs_interior_slices(grid32):
     cg = CylinderGrid(0.0, 1.0, 1, 0.2)
     u = CylinderField(grid32, cg, np.zeros((2, 32, 1)))
     with pytest.raises(ValueError):
-        apply_elliptic_operator(u, CouplingMatrices.scalar())
+        linear_part(u, CouplingMatrices.scalar())
 
 
 def test_operator_coupled_k2(grid32):
@@ -285,12 +294,12 @@ def test_operator_coupled_k2(grid32):
     cg = CylinderGrid(0.0, 1.0, 8, 0.25)
     vals = rng.standard_normal((9, 32, 2))
     u = CylinderField(grid32, cg, vals)
-    out = apply_elliptic_operator(u, mats)
+    out = linear_part(u, mats)
     utt = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / cg.dt**2
     ut = (vals[2:] - vals[:-2]) / (2 * cg.dt)
     lap = laplacian(vals[1:-1], grid32.h)
     expect = (0.25**2 * utt + lap) @ a.T - ut
-    np.testing.assert_allclose(out.values[1:-1], expect, atol=1e-10)
+    np.testing.assert_allclose(out[1:-1], expect, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
