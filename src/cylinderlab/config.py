@@ -83,7 +83,7 @@ _TOL_KEYS = {
 }
 
 # scalar params: the minimum of each integer, the sign rule of each real
-# (synthetic-power-law reads its eps as a list, so it is exempt there)
+# (synthetic-power-law reads its eps as a list and checks it on its own)
 _INTEGER_PARAMS = {"m_steps": 2, "n_trajectories": 0, "seed_count": 1, "n_rays": 1, "xi_points": 1}
 _POSITIVE = {"positive": True}
 _NONNEGATIVE = {"nonnegative": True}
@@ -353,7 +353,7 @@ def parse_forcing(obj, grid: SpatialGrid, k: int, path: str = "forcing") -> Forc
     )
 
 
-def _validate_params(kind: str, experiment: str, params: dict, tolerances: dict):
+def _validate_params(experiment: str, params: dict, tolerances: dict, problem: ProblemSpec):
     allowed = _PARAM_KEYS[experiment]
     for key, value in params.items():
         path = f"params.{key}"
@@ -379,6 +379,13 @@ def _validate_params(kind: str, experiment: str, params: dict, tolerances: dict)
                     _fail(f"{path}[{i}]", "expected an [alpha, beta] pair")
                 _number(pair[0], f"{path}[{i}][0]", positive=True)
                 _number(pair[1], f"{path}[{i}][1]")
+        elif key in ("u0", "xi"):
+            parse_profile(value, problem.grid(), problem.k, path)
+    if experiment == "synthetic-power-law":
+        eps, dists = (_numbers(params.get(key), f"params.{key}", 3, positive=True)
+                      for key in ("eps", "distances"))
+        if len(eps) != len(dists):
+            _fail("params.distances", f"expected {len(eps)} distances, one per eps")
     if experiment in STRIDE_DEFAULTS:
         stride = params.get("stride", STRIDE_DEFAULTS[experiment])
         # an absent span key defaults to whole time units, which every
@@ -446,7 +453,7 @@ def load_config(path: str) -> ExperimentConfig:
         _fail("params", "expected an object")
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
-    _validate_params(kind, experiment, params, tolerances)
+    _validate_params(experiment, params, tolerances, problem)
 
     out_dir = raw.get("out_dir", "lab-out")
     if not isinstance(out_dir, str) or not out_dir:

@@ -3,15 +3,16 @@
 Solves a (eps^2 u_tt + u_xx) - gamma u_t - f(u) = g(t) on [tau, tau + t_len]
 with u(tau) = u_tau, homogeneous Dirichlet in x, and a far condition at the
 right end of the truncated cylinder.  All time slices are unknowns of one
-sparse block-tridiagonal system.  Each Newton step is solved by GMRES,
-preconditioned by fast diagonalization: a DST-I in x splits the Jacobian,
-with f' replaced by its mean over x on each slice, into one banded time
-operator per sine mode, and the stacked modes are factored once per step.
-A step whose true residual misses a fixed bound is redone by a sparse LU
-of the assembled Jacobian.  The linear part, the preconditioner band and
-the index maps depend on the window shape only; they are built once per
-shape, cached and shared read-only, so a window builds only its
-right-hand side.
+sparse block-tridiagonal system.  Each Newton step is solved by the
+module's right-preconditioned GMRES.  The preconditioner is fast
+diagonalization: a DST-I in x splits the Jacobian, with f' replaced by its
+mean over x on each slice, into one time operator per sine mode, factored
+once per step; for k = 1 a row operation on the far row makes every mode
+tridiagonal, and k > 1 keeps a banded LU.  A step whose GMRES fails or
+whose true residual misses a fixed bound is redone by a sparse LU of the
+assembled Jacobian.  The linear part, the preconditioner band and the index
+maps depend on the window shape only; they are built once per shape,
+cached and shared read-only, so a window builds only its right-hand side.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
 initial-value problem; every eps = 0 call goes through the parabolic
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dst
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import DegenerateData, ShapeMismatch, SingularJacobian
 from .forcing import Constant, Forcing
@@ -56,10 +57,12 @@ MARGIN_MIN = 2.0
 # adds no error above what the linear solves leave
 _MARGIN_TOL = 1e-12
 
-_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
-# GMRES of one Newton step: relative 2-norm tolerance, restart length and
-# restart cycles; a result whose true residual |J x - b|_inf exceeds
-# _KRYLOV_CHECK |b|_inf is redone by the sparse LU
+_GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(
+    ("gbtrf", "gbtrs", "gttrf", "gttrs"), dtype=np.float64
+)
+# GMRES of one Newton step: relative tolerance on the true residual 2-norm,
+# restart length and restart cycles; a result whose true residual
+# |J x - b|_inf exceeds _KRYLOV_CHECK |b|_inf is redone by the sparse LU
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_RESTART = 60
 _KRYLOV_CYCLES = 2
@@ -256,20 +259,14 @@ class _SpaceTimeSystem:
     def solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """x with J(values) x = rhs, J the Jacobian at values.
 
-        GMRES preconditioned by the stacked mode band with f' replaced by
-        its mean over x; if the band is singular, GMRES fails, or the true
+        GMRES preconditioned by the stacked mode operators with f' replaced
+        by its mean over x; if a mode is singular, GMRES fails, or the true
         residual misses the bound, the sparse LU of J solves instead.
         """
         m, n, k = self.m, self.n, self.k
         shape3 = self.shape3
         fp = self.nl.jac_f(values.reshape(shape3)[1:m])  # (m-1, n, k, k)
-        kl, ku = self._kl, self._ku
-        ab = self._band.copy(order="F")
-        fbar = fp.mean(axis=1)
-        for c in range(k):
-            for d in range(k):
-                ab[kl + ku + c - d, self._diag_cols[d]] -= fbar[:, c, d]
-        lu, piv, info = _GBTRF(ab, kl, ku, overwrite_ab=1)
+        mode_solve = _mode_solver(self._band, self._kl, self._ku, self._diag_cols, fp.mean(axis=1))
 
         def apply(x):
             y = self.lin @ x
@@ -278,26 +275,100 @@ class _SpaceTimeSystem:
 
         def precondition(y):
             # to sine modes, mode-major, by one product with the DST-I matrix
-            # (its own inverse), then the band solve, then back
+            # (its own inverse), then the mode solve, then back
             z = self._sine @ y.reshape(shape3).transpose(1, 0, 2).reshape(n, -1)
-            z = _GBTRS(lu, kl, ku, z.ravel(), piv)[0]
-            z = self._sine @ z.reshape(n, -1)
+            z = self._sine @ mode_solve(z).reshape(n, -1)
             return z.reshape(n, m + 1, k).transpose(1, 0, 2).ravel()
 
-        if info == 0:
-            size = rhs.shape[0]
-            x, info = gmres(
-                LinearOperator((size, size), matvec=apply, dtype=float), rhs,
-                rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
-                M=LinearOperator((size, size), matvec=precondition, dtype=float),
-            )
-            if info == 0 and np.all(np.isfinite(x)):
-                if np.max(np.abs(apply(x) - rhs)) <= _KRYLOV_CHECK * np.max(np.abs(rhs)):
+        if mode_solve is not None:
+            x, r, converged = _gmres(apply, precondition, rhs)
+            if converged and np.all(np.isfinite(x)):
+                if np.max(np.abs(r)) <= _KRYLOV_CHECK * np.max(np.abs(rhs)):
                     return x
         return _factor_solve(self.jacobian(values), rhs)
 
     def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         return self.solve(u, -r)
+
+
+def _mode_solver(band, kl, ku, diag_cols, fbar):
+    """Factor the stacked mode operators with fbar (the mean over x of f' on
+    each PDE slice) off their diagonal blocks.  Returns the solve of a
+    mode-major right-hand side (n, (m+1)k), which it may overwrite, or None
+    if a mode is singular.  For k = 1 the row operation far row -= w (row
+    m-1), w = c / A+, clears the far row's entry c two slices back (A+ is
+    row m-1's sub-diagonal, and w = 0 for a clamp), so gttrf factors all
+    modes as one tridiagonal system.  k > 1 keeps the banded LU.
+    """
+    k = len(diag_cols)
+    if k > 1:
+        ab = band.copy(order="F")
+        for c in range(k):
+            for d in range(k):
+                ab[kl + ku + c - d, diag_cols[d]] -= fbar[:, c, d]
+        lu, piv, info = _GBTRF(ab, kl, ku, overwrite_ab=1)
+        return None if info else lambda z: _GBTRS(lu, kl, ku, z.ravel(), piv)[0]
+    # band row kl + ku + s holds entry (i + s, i) in column i; per mode
+    n = diag_cols[0].shape[0]
+    sup, diag, sub = (band[kl + ku + s].reshape(n, -1).copy() for s in (-1, 0, 1))
+    m = diag.shape[1] - 1
+    w = band[kl + ku + 2, m - 2] / band[kl + ku + 1, m - 2]
+    diag[:, 1:m] -= fbar[:, 0, 0]
+    sub[:, m - 1] -= w * diag[:, m - 1]
+    diag[:, m] -= w * sup[:, m]
+    dl, d, du, du2, ipiv, info = _GTTRF(sub.ravel()[:-1], diag.ravel(), sup.ravel()[1:])
+    if info:
+        return None
+
+    def solve(z):
+        z[:, m] -= w * z[:, m - 1]
+        return _GTTRS(dl, d, du, du2, ipiv, z.ravel(), overwrite_b=1)[0]
+
+    return solve
+
+
+def _gmres(apply, precondition, b):
+    """Restarted GMRES for apply(x) = b, preconditioned on the right so that
+    it minimizes the true residual.  Returns (x, r, converged) with
+    r = b - apply(x) from the end of the last cycle, converged when
+    |r|_2 <= _KRYLOV_RTOL |b|_2.  Arnoldi by classical Gram-Schmidt done
+    twice; Givens rotations keep the Hessenberg matrix triangular (tri).
+    """
+    tol = _KRYLOV_RTOL * np.linalg.norm(b)
+    x, r = np.zeros_like(b), b
+    basis = np.empty((_KRYLOV_RESTART + 1, b.size))
+    tri = np.zeros((_KRYLOV_RESTART, _KRYLOV_RESTART))
+    for _ in range(_KRYLOV_CYCLES):
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, r, True
+        basis[0] = r / beta
+        g, rots = [beta], []
+        for j in range(_KRYLOV_RESTART):
+            w = apply(precondition(basis[j]))
+            v = basis[: j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            hn = float(np.linalg.norm(w))
+            col = (h + h2).tolist() + [hn]
+            for i, (c, s) in enumerate(rots):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], hn)
+            if rho == 0.0:
+                return x, r, False
+            c, s = col[j] / rho, hn / rho
+            rots.append((c, s))
+            tri[: j + 1, j] = col[:j] + [rho]
+            g[j:] = [c * g[j], -s * g[j]]
+            if abs(g[j + 1]) <= tol:
+                break
+            basis[j + 1] = w / hn
+        y = np.linalg.solve(tri[: j + 1, : j + 1], g[: j + 1])
+        x = x + precondition(y @ basis[: j + 1])
+        r = b - apply(x)
+    return x, r, bool(np.linalg.norm(r) <= tol)
 
 
 def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:

@@ -311,15 +311,30 @@ BAD_SCALAR_PARAMS = (
     ("c03-frechet", {"deltas": [0.001]}, "params.deltas: expected a list of at least 2 numbers"),
     ("c12-symbol-bounds", {"xi_range": [1.0]}, "params.xi_range: expected a list of at least 2"),
     ("c12-symbol-bounds", {"eps_grid": "abc"}, "params.eps_grid: expected a nonempty list"),
+    # profiles and the synthetic-power-law lists: these too used to end as a
+    # failed verdict with exit 1
+    ("demo-solve", {"u0": "abc"}, "params.u0: expected an object, got str"),
+    ("c03-frechet", {"xi": {"kind": "sine", "coeffs": "x"}}, "params.xi.coeffs: expected a"),
+    ("synthetic", {"distances": [0.3]}, "params.distances: expected a list of at least 3 numbers"),
+    ("synthetic", {"distances": [0.3, 0.2, 0.1, 0.05]}, "params.distances: expected 3 distances"),
 )
+SYNTHETIC = {
+    "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
+    "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
+    "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
+}
 
 
 @pytest.mark.parametrize(
     "name,params,message", BAD_SCALAR_PARAMS,
-    ids=["m_steps", "t_len", "stride", "t_check", "t_end", "deltas", "xi_range", "eps_grid"],
+    ids=["m_steps", "t_len", "stride", "t_check", "t_end", "deltas", "xi_range", "eps_grid",
+         "u0", "xi", "distances", "distances_length"],
 )
 def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, message):
-    raw = json.loads((configs_dir / f"{name}.json").read_text())
+    if name == "synthetic":
+        raw = json.loads(json.dumps(SYNTHETIC))
+    else:
+        raw = json.loads((configs_dir / f"{name}.json").read_text())
     raw["params"].update(params)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(raw))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylinderlab import ParseError, ValidationError, load_config
+from cylinderlab import ParseError, ValidationError, load_config, rate_fit
 from cylinderlab.config import parse_forcing, parse_profile
 from cylinderlab.forcing import Forcing
 from cylinderlab.model import SpatialGrid
@@ -100,8 +100,17 @@ def test_shipped_configs_load(configs_dir):
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(
     (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
 )}
+# no shipped config runs the synthetic-power-law fit; fuzz one as well
+SHIPPED["synthetic"] = {
+    "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
+    "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
+    "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
+}
 # what a mutated params value becomes; None drops the key
-MUTANTS = (None, "abc", -1, -0.5, [], [[0.5, -1.0]], [[]])
+MUTANTS = (
+    None, "abc", -1, -0.5, [], [[0.5, -1.0]], [[]], [0.3, 0.2, 0.1, 0.05],
+    {"kind": "sine", "coeffs": "x"}, {"kind": "uniform", "value": [1.0, 2.0]},
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,9 +128,16 @@ def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(raw))
     try:
-        load_config(str(path))
+        cfg = load_config(str(path))
     except (ParseError, ValidationError):
-        pass
+        return
+    # what loads, the experiments can read: the profiles parse and the
+    # synthetic lists fit
+    for key in ("u0", "xi"):
+        if key in cfg.params:
+            parse_profile(cfg.params[key], cfg.problem.grid(), cfg.problem.k)
+    if cfg.experiment == "synthetic-power-law":
+        rate_fit(cfg.params["eps"], cfg.params["distances"])
 
 
 def test_unknown_top_level_key(tmp_path):
@@ -261,12 +277,13 @@ def test_scalar_params_type_and_range(tmp_path):
         fails_with(tmp_path, minimal(**base, params=params), fragment)
     ok = minimal(**traj, params={"stride": 0.125, "t_end": 3.0})
     assert load_config(write(tmp_path, ok)).params["stride"] == 0.125
-    # the synthetic power law reads eps as a list
+    # the synthetic power law reads eps as a list, of at least three points
+    # like its distances
     spl = minimal(
         kind="converge", experiment="synthetic-power-law",
-        params={"eps": [0.4, 0.2], "distances": [0.4, 0.3]},
+        params={"eps": [0.4, 0.2, 0.1], "distances": [0.4, 0.3, 0.2]},
     )
-    assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2]
+    assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2, 0.1]
 
 
 def test_params_rules_across_keys(tmp_path):

@@ -402,16 +402,71 @@ def test_scalar_window_needs_no_factorization(grid64, scalar_mats, chafee2, splu
     assert splu_calls == []
 
 
+def scalar_system(grid, far_kind, mats=None):
+    """k = 1 window with cubic f and periodic forcing; far kind by name."""
+    far = ZeroTimeDerivative() if far_kind == "zero-derivative" else Clamp(sine_field(grid, [0.2]))
+    g = Periodic(Field.zeros(grid), sine_field(grid, [0.5]), 1.0)
+    return _SpaceTimeSystem(
+        grid, CylinderGrid(0.0, 1.5, 48, 0.2), mats or CouplingMatrices.scalar(),
+        cubic_nonlinearity(2.0), g, sine_field(grid, [0.9, 0.2]), far,
+    )
+
+
+@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+def test_tridiagonal_mode_solve_matches_band_solve(grid32, far_kind):
+    # the far-row operation and one tridiagonal solve of all modes give the
+    # banded LU's answer; a and gamma away from 1 keep the weight nontrivial
+    mats = CouplingMatrices(1, np.array([[1.3]]), np.array([[0.7]]))
+    system = scalar_system(grid32, far_kind, mats)
+    band, kl, ku, cols = system._band, system._kl, system._ku, system._diag_cols
+    rng = np.random.default_rng(3)
+    fbar = rng.uniform(-3.0, 1.0, (system.m - 1, 1, 1))  # the mean f' varies per slice
+    z = rng.standard_normal((system.n, system.m + 1))
+    ab = band.copy(order="F")
+    ab[kl + ku, cols[0]] -= fbar[:, 0, 0]
+    lu, piv, info = elliptic._GBTRF(ab, kl, ku)
+    assert info == 0
+    ref = elliptic._GBTRS(lu, kl, ku, z.ravel(), piv)[0]
+    x = elliptic._mode_solver(band, kl, ku, cols, fbar)(z.copy())
+    assert rel_gap(np.ravel(x), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+def test_scalar_step_matches_sparse_lu(grid32, far_kind, splu_calls):
+    system = scalar_system(grid32, far_kind)
+    rng = np.random.default_rng(8)
+    u_tau = system.b.reshape(system.shape3)[0]
+    u = np.broadcast_to(u_tau, system.shape3).ravel() + 0.3 * rng.standard_normal(system.b.shape)
+    r = system.residual(u)
+    dx = system.solve_step(u, r)
+    assert splu_calls == []  # the Krylov path solved it
+    assert rel_gap(dx, _factor_solve(system.jacobian(u), -r)) <= 1e-10
+
+
+def test_gmres_returns_its_true_residual():
+    # the residual check of a Newton step reuses the r GMRES hands back
+    rng = np.random.default_rng(2)
+    mat = np.eye(80) * 4.0 + rng.standard_normal((80, 80)) / 10.0
+    b = rng.standard_normal(80)
+    x, r, converged = elliptic._gmres(lambda v: mat @ v, lambda v: v / 4.0, b)
+    assert converged
+    np.testing.assert_allclose(r, b - mat @ x, rtol=0.0, atol=1e-15)
+    assert np.linalg.norm(r) <= elliptic._KRYLOV_RTOL * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("failure", ["gmres-info", "residual-check"])
 def test_failed_krylov_step_falls_back_to_sparse_lu(
     grid32, scalar_mats, chafee2, monkeypatch, splu_calls, failure
 ):
-    def broken_gmres(op, b, **kwargs):
+    def broken_gmres(apply, precondition, b):
         # either GMRES admits failure, or it claims success with a result
         # whose true residual is far off
-        return (np.zeros_like(b), 7) if failure == "gmres-info" else (0.5 * b, 0)
+        if failure == "gmres-info":
+            return np.zeros_like(b), b, False
+        x = 0.5 * b
+        return x, b - apply(x), True
 
-    monkeypatch.setattr(elliptic, "gmres", broken_gmres)
+    monkeypatch.setattr(elliptic, "_gmres", broken_gmres)
     u_tau = sine_field(grid32, [0.9, 0.2])
     cg = CylinderGrid(0.0, 1.0, 40, 0.2)
     system = _SpaceTimeSystem(
