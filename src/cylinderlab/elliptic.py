@@ -102,9 +102,10 @@ def _space_time_operator(
     a_bytes: bytes, gamma_bytes: bytes, clamp: bool,
 ):
     """Shape-only part of a _SpaceTimeSystem, shared read-only by every
-    window of one shape: the linear part (CSC), the preconditioner's mode
-    band with kl, ku and the columns of the PDE rows' diagonal blocks, the
-    DST-I matrix, and the row/column pattern of the f' blocks.
+    window of one shape: the linear part (CSR, for the mat-vecs of every
+    residual and GMRES iteration), the preconditioner's mode band with kl,
+    ku and the columns of the PDE rows' diagonal blocks, the DST-I matrix,
+    and the row/column pattern of the f' blocks.
 
     The band stacks one time operator per sine mode: the DST-I diagonalizes
     the Dirichlet Laplacian with eigenvalues -(4/h^2) sin^2(p pi / (2(n+1))),
@@ -149,7 +150,7 @@ def _space_time_operator(
     else:
         c = 0.5 / dt
         efar = sp.coo_matrix(([3.0 * c, -4.0 * c, c], ([m, m, m], [m, m - 1, m - 2])), shape=sz)
-    lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsc()
+    lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsr()
 
     kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
     band = np.zeros((2 * kl + ku + 1, n * (m + 1) * k), order="F")

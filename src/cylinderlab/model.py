@@ -329,13 +329,16 @@ def cubic_nonlinearity(lam: float, k: int = 1) -> Nonlinearity:
     def jac(v):
         v = np.asarray(v, dtype=float)
         d = 3.0 * v**2 - lam
+        if v.shape[-1] == 1:
+            return d[..., None]
         out = np.zeros(v.shape + (v.shape[-1],))
         idx = np.arange(v.shape[-1])
         out[..., idx, idx] = d
         return out
 
     def pot(v):
-        return np.sum(v**4 / 4.0 - lam * v**2 / 2.0, axis=-1)
+        v2 = v * v
+        return np.sum(v2 * v2 / 4.0 - lam * v2 / 2.0, axis=-1)
 
     # f(v).v = sum v^4 - lam v^2 >= -k lam^2/4; f' = 3v^2 - lam >= -lam
     return Nonlinearity(

@@ -57,7 +57,7 @@ def damped_newton(x0, residual, solve_step, opts: NewtonOptions, batch: bool = F
 
 
 def _sup_norms(r: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(r).reshape(r.shape[0], -1), axis=1, initial=0.0)
+    return np.abs(r).reshape(r.shape[0], -1).max(axis=1, initial=0.0)
 
 
 def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
@@ -78,8 +78,8 @@ def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
             return x, history
         dx = solve_step(x, r)
         lam = np.ones(x.shape[0])
-        for _h in range(_MAX_HALVINGS + 1):
-            trial = x + lam[lead] * dx
+        for h in range(_MAX_HALVINGS + 1):
+            trial = x + lam[lead] * dx if h else x + dx
             if not searching.all():
                 trial = np.where(searching[lead], trial, x)
             r_trial = residual(trial)

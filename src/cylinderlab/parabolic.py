@@ -2,8 +2,9 @@
 
 Integrates gamma u_t = a u_xx - f(u) + g(t) with backward Euler; the
 time-dependent forcing is sampled at the right endpoint of each step.
-An ensemble of initial states steps together, with one banded solve per
-Newton iteration for all of its members.
+An ensemble of initial states steps together, with one linear solve per
+Newton iteration for all of its members: a LAPACK tridiagonal solve (gtsv)
+for scalar problems (k = 1), a banded solve for coupled ones (k > 1).
 The implicit step is the gradient flow of the discrete energy behind
 lyapunov_value, so for autonomous forcing the energy is non-increasing
 whenever dt <= 2 lambda_min(gamma) / k_mono.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 
 from .errors import AsymmetricA, DegenerateData, MissingPotential, ShapeMismatch
 from .forcing import Forcing
@@ -31,6 +32,9 @@ from .model import (
     laplacian,
 )
 from .newton import NewtonOptions, damped_newton
+
+# the routine scipy's solve_banded calls for a (1, 1) band, called directly
+(_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ class _BandedStepper:
 
     States are (n, k) or (R, n, k); the Jacobian of R members is one banded
     system of R n k rows whose blocks are decoupled, so one LAPACK call
-    solves every member exactly as it would be solved alone.
+    solves every member exactly as it would be solved alone.  For k = 1 the
+    system is tridiagonal and goes to gtsv directly, which is the call
+    solve_banded makes for it, without solve_banded's checks.
     """
 
     def __init__(self, sgrid: SpatialGrid, mats: CouplingMatrices, nl: Nonlinearity, dt: float):
@@ -72,31 +78,50 @@ class _BandedStepper:
                 off = mats.a[c, cp] / h2
                 band[hb + (c - cp) - k, np.arange(1, n) * k + cp] += -off  # j = i+1
                 band[hb + (c - cp) + k, np.arange(0, n - 1) * k + cp] += -off  # j = i-1
+        band.setflags(write=False)
         self._band = band
         self._stacked = {1: band}  # member count -> block-diagonal band
 
     def residual(self, v: np.ndarray, u: np.ndarray, gval: np.ndarray) -> np.ndarray:
         lap = laplacian(v, self.sgrid.h)
-        r = (
+        if self.k == 1:
+            gamma, a = self.mats.gamma[0, 0], self.mats.a[0, 0]
+            return gamma * (v - u) / self.dt - a * lap + self.nl.f(v) - gval
+        return (
             np.einsum("cd,...d->...c", self.mats.gamma, v - u) / self.dt
             - np.einsum("cd,...d->...c", self.mats.a, lap)
             + self.nl.f(v)
             - gval
         )
-        return r
 
     def solve(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         k, hb = self.k, self.hb
         members = r.size // self._band.shape[1]
         if members not in self._stacked:
-            self._stacked[members] = np.tile(self._band, members)
-        ab = self._stacked[members].copy()
+            stacked = np.tile(self._band, members)
+            stacked.setflags(write=False)
+            self._stacked[members] = stacked
+        band = self._stacked[members]
         jac = self.nl.jac_f(v).reshape(-1, k, k)  # (members * n, k, k)
+        # a non-finite r or f' yields a non-finite step, which the Newton
+        # line search rejects as a NewtonDiverged; no separate check needed
+        if k == 1 and r.size > 1:
+            # gtsv copies the read-only off-diagonals, which are zero across
+            # member boundaries, and overwrites only d and b; it needs two
+            # rows, and solve_banded solves a 1 x 1 system by a division
+            d = self._diag[0, 0] + jac[:, 0, 0]
+            *_, dx, info = _GTSV(
+                band[2, :-1], d, band[0, 1:], -r.ravel(), overwrite_d=1, overwrite_b=1
+            )
+            if info > 0:
+                raise LinAlgError("singular matrix")
+            if info < 0:
+                raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+            return dx.reshape(r.shape)
+        ab = band.copy()
         for c in range(k):
             for cp in range(k):
                 ab[hb + (c - cp), cp::k] = self._diag[c, cp] + jac[:, c, cp]
-        # a non-finite r or f' yields a non-finite step, which the Newton
-        # line search rejects as a NewtonDiverged; no separate check needed
         dx = solve_banded((hb, hb), ab, -r.ravel(), overwrite_ab=True, check_finite=False)
         return dx.reshape(r.shape)
 
@@ -128,7 +153,7 @@ def semigroup_evolve(
     """March from tau to tau + t_end, returning every step.
 
     A Field gives its Trajectory.  A sequence of Fields is stepped as one
-    ensemble: each Newton iteration is one banded solve for all members,
+    ensemble: each Newton iteration is one linear solve for all members,
     and each member's path is the one it would follow alone.
     """
     if t_end < 0:

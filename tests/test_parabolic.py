@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, block_diag, solve_banded
 
 import cylinderlab.parabolic as parabolic
 from cylinderlab import (
@@ -19,6 +20,7 @@ from cylinderlab import (
     Nonlinearity,
     Periodic,
     ShapeMismatch,
+    SpatialGrid,
     StepOptions,
     cubic_nonlinearity,
     find_equilibria,
@@ -425,3 +427,104 @@ def test_c13_report_is_identical_across_thread_counts(configs_dir, monkeypatch):
         reports.append(report_json(run(load_config(configs_dir / "c13-determinism.json"),
                                        fixed_clock=True)))
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel and the coupled band path
+
+
+def _scalar_band(grid, mats, nl, dt, v):
+    """(1, 1) band of the backward-Euler Jacobian at the (R, n, 1) stack v,
+    built entry by entry: members are decoupled, so the off-diagonals are
+    zero across member boundaries."""
+    h2 = grid.h**2
+    members, n = v.shape[0], v.shape[1]
+    off = -mats.a[0, 0] / h2
+    ab = np.zeros((3, members * n))
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    ab[0, n::n] = 0.0
+    ab[2, n - 1 : -1 : n] = 0.0
+    ab[1] = (mats.gamma[0, 0] / dt + 2.0 * mats.a[0, 0] / h2) + nl.jac_f(v).ravel()
+    return ab
+
+
+@pytest.mark.parametrize(
+    "n, members, dt",
+    [(32, 1, 0.05), (32, 3, 0.05), (32, 3, math.inf), (1, 1, 0.05)],
+    ids=["solo", "ensemble", "census", "one-node"],
+)
+def test_scalar_solve_is_the_band_solve_bit_for_bit(n, members, dt):
+    grid = SpatialGrid(PI, n)
+    mats = CouplingMatrices.scalar(a=1.3, gamma=0.7)
+    nl = cubic_nonlinearity(2.0)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((members, n, 1))
+    r = rng.standard_normal(v.shape)
+    stepper = parabolic._BandedStepper(grid, mats, nl, dt)
+    ref = solve_banded((1, 1), _scalar_band(grid, mats, nl, dt, v), -r.ravel())
+    got = stepper.solve(v, r)
+    assert got.shape == r.shape
+    assert got.tobytes() == ref.reshape(r.shape).tobytes()
+    # the cached off-diagonals are not overwritten by the solve
+    assert stepper.solve(v, r).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_singular_scalar_system_raises(members):
+    # f' = -2a/h^2 at dt = inf leaves a zero diagonal: a tridiagonal matrix
+    # with zero diagonal and odd order is singular
+    grid = SpatialGrid(PI, 3)
+    mats = CouplingMatrices.scalar()
+    nl = linear_nonlinearity(-2.0 / grid.h**2)
+    stepper = parabolic._BandedStepper(grid, mats, nl, math.inf)
+    v = np.zeros((members, 3, 1))
+    r = np.ones_like(v)
+    with pytest.raises(LinAlgError):
+        solve_banded((1, 1), _scalar_band(grid, mats, nl, math.inf, v), -r.ravel())
+    with pytest.raises(LinAlgError):
+        stepper.solve(v, r)
+
+
+def _coupled_problem(grid):
+    a = np.array([[1.0, 0.4], [-0.3, 0.8]])  # nonsymmetric
+    mats = CouplingMatrices(2, a, np.array([[1.0, 0.3], [0.3, 1.6]]))
+    nl = cubic_nonlinearity(2.0, k=2)
+    g = Periodic(sine_field(grid, [[0.1, 0.0]], k=2), sine_field(grid, [[0.3, -0.2]], k=2), 3.0)
+    return mats, nl, g
+
+
+def test_coupled_step_matches_dense_newton(grid32):
+    mats, nl, g = _coupled_problem(grid32)
+    u0 = sine_field(grid32, [[0.9, -0.5], [0.0, 0.4]], k=2)
+    dt, tau = 0.05, 0.4
+    opts = StepOptions(dt=dt, newton=NewtonOptions(tol_residual=1e-12))
+    got = semigroup_evolve(u0, dt, opts, mats, nl, g, tau=tau).values[-1]
+
+    # dense Newton on the assembled (node, component) system
+    n, h = grid32.n_interior, grid32.h
+    ones = np.ones(n - 1)
+    lap = (np.diag(-2.0 * np.ones(n)) + np.diag(ones, 1) + np.diag(ones, -1)) / h**2
+    mass, stiff = np.kron(np.eye(n), mats.gamma) / dt, np.kron(lap, mats.a)
+    u, gval = u0.values.ravel(), g.window(np.array([tau + dt]))[0].ravel()
+    v = u.copy()
+    for _ in range(8):
+        r = mass @ (v - u) - stiff @ v + nl.f(v.reshape(n, 2)).ravel() - gval
+        jac = mass - stiff + block_diag(*nl.jac_f(v.reshape(n, 2)))
+        v = v - np.linalg.solve(jac, r)
+    assert np.max(np.abs(r)) <= 1e-12
+    assert np.max(np.abs(got.ravel() - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_coupled_ensemble_matches_solo_runs(grid32):
+    mats, nl, g = _coupled_problem(grid32)
+    opts = StepOptions(dt=0.05)
+    starts = [
+        sine_field(grid32, [[0.9, -0.5], [0.0, 0.4]], k=2),
+        sine_field(grid32, [[3.0, 2.0]], k=2),
+        Field.zeros(grid32, 2),
+    ]
+    ens = semigroup_evolve(starts, 0.5, opts, mats, nl, g, tau=0.2)
+    for i, u0 in enumerate(starts):
+        solo = semigroup_evolve(u0, 0.5, opts, mats, nl, g, tau=0.2)
+        assert ens.member(i).values.tobytes() == solo.values.tobytes()
