@@ -3,16 +3,23 @@
 Solves a (eps^2 u_tt + u_xx) - gamma u_t - f(u) = g(t) on [tau, tau + t_len]
 with u(tau) = u_tau, homogeneous Dirichlet in x, and a far condition at the
 right end of the truncated cylinder.  All time slices are unknowns of one
-sparse block-tridiagonal system.  Each Newton step is solved by the
-module's right-preconditioned GMRES.  The preconditioner is fast
-diagonalization: a DST-I in x splits the Jacobian, with f' replaced by its
-mean over x on each slice, into one time operator per sine mode, factored
-once per step; for k = 1 a row operation on the far row makes every mode
-tridiagonal, and k > 1 keeps a banded LU.  A step whose GMRES fails or
-whose true residual misses a fixed bound is redone by a sparse LU of the
-assembled Jacobian.  The linear part, the preconditioner band and the index
-maps depend on the window shape only; they are built once per shape,
-cached and shared read-only, so a window builds only its right-hand side.
+sparse block-tridiagonal system, solved by damped Newton.
+
+Every linear solve runs the module's right-preconditioned GMRES.  The
+preconditioner is fast diagonalization: a DST-I in x splits the Jacobian,
+with f' replaced by its mean over x on each slice, into one time operator
+per sine mode, factored once per solve; for k = 1 a row operation on the
+far row makes every mode tridiagonal, and k > 1 keeps a banded LU.  The
+Newton iteration is inexact (Dembo, Eisenstat & Steihaug 1982): GMRES of
+step k stops at the relative tolerance eta_k of Eisenstat & Walker's
+choice 2 (1996), loose while the residual is far from the Newton target
+and tighter as it converges.  Every other solve (a single Jacobian solve,
+as in variational_process) runs to _KRYLOV_RTOL.  A solve whose GMRES
+fails, or whose true residual misses a bound scaled with its tolerance, is
+redone by a sparse LU of the assembled Jacobian.  The linear part, the
+preconditioner band and the index maps depend on the window shape only;
+they are built once per shape, cached and shared read-only, so a window
+builds only its right-hand side.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
 initial-value problem; every eps = 0 call goes through the parabolic
@@ -53,20 +60,28 @@ from .parabolic import LimitContext, StepOptions, variational_evolve
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
 # relative far-condition error the margin rule leaves at the output end of a
-# window: the GMRES tolerance of each Newton step, so truncating the cylinder
-# adds no error above what the linear solves leave
+# window: the accuracy it targets, far below the Newton tolerance, so that
+# truncating the cylinder moves a slice less than the solver's own error
 _MARGIN_TOL = 1e-12
 
 _GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(
     ("gbtrf", "gbtrs", "gttrf", "gttrs"), dtype=np.float64
 )
-# GMRES of one Newton step: relative tolerance on the true residual 2-norm,
-# restart length and restart cycles; a result whose true residual
-# |J x - b|_inf exceeds _KRYLOV_CHECK |b|_inf is redone by the sparse LU
+# GMRES of an exact linear solve: relative tolerance on the true residual
+# 2-norm, restart length and restart cycles; a result whose true residual
+# |J x - b|_inf exceeds _KRYLOV_CHECK (rtol / _KRYLOV_RTOL) |b|_inf, rtol the
+# tolerance GMRES ran to, is redone by the sparse LU
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_RESTART = 60
 _KRYLOV_CYCLES = 2
 _KRYLOV_CHECK = 1e-9
+# Eisenstat-Walker choice 2 forcing terms of the Newton steps: eta_0 =
+# _ETA_MAX, then eta_k = _EW_GAMMA (|F_k| / |F_{k-1}|)^2 in sup norms,
+# capped at _ETA_MAX and floored at _KRYLOV_RTOL.  On an eps = 0.05
+# attractor-sweep trajectory a cap of 1e-4 moved the slices 1.0e-10 from
+# exact steps and 1e-5 moved them 1.8e-11, at about half the GMRES work
+_ETA_MAX = 1e-5
+_EW_GAMMA = 0.9
 
 
 @dataclass(frozen=True)
@@ -257,12 +272,16 @@ class _SpaceTimeSystem:
         bump = sp.coo_matrix((vals, (self._jac_rows, self._jac_cols)), shape=(nuk, nuk))
         return (self.lin - bump).tocsc()
 
-    def solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """x with J(values) x = rhs, J the Jacobian at values.
+    def solve(
+        self, values: np.ndarray, rhs: np.ndarray, rtol: float = _KRYLOV_RTOL
+    ) -> np.ndarray:
+        """x with J(values) x = rhs, J the Jacobian at values, to the
+        relative tolerance rtol.
 
         GMRES preconditioned by the stacked mode operators with f' replaced
         by its mean over x; if a mode is singular, GMRES fails, or the true
-        residual misses the bound, the sparse LU of J solves instead.
+        residual misses the bound (scaled with rtol), the sparse LU of J
+        solves instead.
         """
         m, n, k = self.m, self.n, self.k
         shape3 = self.shape3
@@ -282,14 +301,26 @@ class _SpaceTimeSystem:
             return z.reshape(n, m + 1, k).transpose(1, 0, 2).ravel()
 
         if mode_solve is not None:
-            x, r, converged = _gmres(apply, precondition, rhs)
+            x, r, converged = _gmres(apply, precondition, rhs, rtol)
             if converged and np.all(np.isfinite(x)):
-                if np.max(np.abs(r)) <= _KRYLOV_CHECK * np.max(np.abs(rhs)):
+                check = _KRYLOV_CHECK * (rtol / _KRYLOV_RTOL)
+                if np.max(np.abs(r)) <= check * np.max(np.abs(rhs)):
                     return x
         return _factor_solve(self.jacobian(values), rhs)
 
     def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The exact Newton step: J(u) dx = -r to _KRYLOV_RTOL."""
         return self.solve(u, -r)
+
+
+def _forcing_term(norm: float, previous: float | None) -> float:
+    """Relative GMRES tolerance of a Newton step from a residual of sup norm
+    norm, the step before having started from previous (None on the first
+    step): Eisenstat & Walker's choice 2, capped at _ETA_MAX and floored at
+    _KRYLOV_RTOL."""
+    if previous is None:
+        return _ETA_MAX
+    return max(_KRYLOV_RTOL, min(_ETA_MAX, _EW_GAMMA * (norm / previous) ** 2))
 
 
 def _mode_solver(band, kl, ku, diag_cols, fbar):
@@ -328,14 +359,14 @@ def _mode_solver(band, kl, ku, diag_cols, fbar):
     return solve
 
 
-def _gmres(apply, precondition, b):
+def _gmres(apply, precondition, b, rtol):
     """Restarted GMRES for apply(x) = b, preconditioned on the right so that
     it minimizes the true residual.  Returns (x, r, converged) with
     r = b - apply(x) from the end of the last cycle, converged when
-    |r|_2 <= _KRYLOV_RTOL |b|_2.  Arnoldi by classical Gram-Schmidt done
-    twice; Givens rotations keep the Hessenberg matrix triangular (tri).
+    |r|_2 <= rtol |b|_2.  Arnoldi by classical Gram-Schmidt done twice;
+    Givens rotations keep the Hessenberg matrix triangular (tri).
     """
-    tol = _KRYLOV_RTOL * np.linalg.norm(b)
+    tol = rtol * np.linalg.norm(b)
     x, r = np.zeros_like(b), b
     basis = np.empty((_KRYLOV_RESTART + 1, b.size))
     tri = np.zeros((_KRYLOV_RESTART, _KRYLOV_RESTART))
@@ -407,7 +438,8 @@ def solve_truncated_bvp(
     """Solve the truncated cylinder problem; initial slice is met exactly.
 
     The optional guess (same shape as the unknowns) warm-starts Newton;
-    default is the constant-in-time extension of u_tau.
+    default is the constant-in-time extension of u_tau.  Each Newton step
+    runs GMRES to its forcing term (_forcing_term), not to _KRYLOV_RTOL.
     """
     opts = opts or NewtonOptions()
     if cgrid.eps == 0.0:
@@ -420,7 +452,16 @@ def solve_truncated_bvp(
     else:
         u0 = np.asarray(guess, dtype=float).reshape(-1).copy()
         u0[: sgrid.n_interior * mats.k] = u_tau.values.ravel()
-    u, _ = damped_newton(u0, system.residual, system.solve_step, opts)
+    previous = None  # sup norm of the residual the last step started from
+
+    def inexact_step(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        nonlocal previous
+        norm = float(np.max(np.abs(r)))
+        eta = _forcing_term(norm, previous)
+        previous = norm
+        return system.solve(u, -r, eta)
+
+    u, _ = damped_newton(u0, system.residual, inexact_step, opts)
     vals = u.reshape(system.shape3)
     vals[0] = u_tau.values  # exact by the identity row; rewrite to kill round-off
     return CylinderField(sgrid, cgrid, vals)

@@ -5,9 +5,10 @@ the config forcing in the elliptic orientation (profiles are wrapped as
 FastScaled(g, eps) per sweep point); solve-parabolic and equilibria read it
 as the parabolic right-hand side directly.  Any error an experiment raises
 (a library error or a bad params value) surfaces as a failed "completed"
-verdict carrying the exception type, never as a crash.  Independent sweep
-cells run on a thread pool capped by the LAB_THREADS environment variable,
-gathered in submission order so results do not depend on scheduling.
+verdict carrying the exception type, never as a crash; a NewtonDiverged
+also carries the tail of its residual trace.  Independent sweep cells run
+on a thread pool capped by the LAB_THREADS environment variable, gathered
+in submission order so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .elliptic import (
     solve_truncated_bvp,
     variational_process,
 )
-from .errors import LabError
+from .errors import LabError, NewtonDiverged
 from .forcing import Constant, forcing_mean
 from .model import CylinderGrid, Field, cubic_nonlinearity, sine_field, symbol_A
 from .newton import NewtonOptions
@@ -661,8 +662,12 @@ def run(config: ExperimentConfig, fixed_clock: bool = False) -> Report:
     try:
         _EXPERIMENTS[config.experiment](config, report)
     except Exception as exc:  # library errors and bad params values alike
+        message = str(exc)
+        if isinstance(exc, NewtonDiverged) and exc.trace:
+            tail = ", ".join(f"{v:.3e}" for v in exc.trace[-5:])
+            message = f"{message}; last residuals {tail}"
         table = report.table("error", ["error_type", "message"])
-        row = table.add(type(exc).__name__, str(exc))
-        report.verdict("completed", False, table, row, str(exc))
+        row = table.add(type(exc).__name__, message)
+        report.verdict("completed", False, table, row, message)
     report.wall_clock = 0.0 if fixed_clock else time.perf_counter() - start
     return report

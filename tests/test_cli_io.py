@@ -9,6 +9,7 @@ from cylinderlab import (
     Field,
     FormatError,
     IoError,
+    NewtonDiverged,
     Report,
     SpatialGrid,
     export_report,
@@ -298,6 +299,36 @@ def test_run_wraps_library_errors_as_failed_verdict(tmp_path, monkeypatch):
     assert report.tables[0].name == "error"
     assert report.tables[0].rows[0][0] == "ValueError"
     assert report.verdicts[0].detail == "broken experiment"
+
+
+def test_run_keeps_the_tail_of_a_newton_trace(tmp_path, monkeypatch):
+    # the last five residuals of a diverged Newton run reach the error table
+    cfg_path = tmp_path / "diverged.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1,
+        "kind": "solve-elliptic",
+        "experiment": "modal-decay",
+        "problem": {"length": math.pi, "n_interior": 16,
+                    "nonlinearity": {"id": "zero"}},
+        "eps_list": [0.1],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    trace = [4.0, 2.0, 1.5, 1.25, 1.125, 1.0625, 0.96875]
+
+    def diverging(config, report):
+        raise NewtonDiverged("line search stalled at residual 9.688e-01", trace)
+
+    monkeypatch.setitem(runner._EXPERIMENTS, "modal-decay", diverging)
+    report = run(load_config(str(cfg_path)), fixed_clock=True)
+    assert not report.all_pass
+    (table,) = report.tables
+    assert table.name == "error"
+    message = (
+        "line search stalled at residual 9.688e-01; last residuals "
+        "1.500e+00, 1.250e+00, 1.125e+00, 1.062e+00, 9.688e-01"
+    )
+    assert table.rows == [["NewtonDiverged", message]]
+    assert report.verdicts[0].detail == message
 
 
 BAD_SCALAR_PARAMS = (

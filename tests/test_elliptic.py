@@ -448,22 +448,28 @@ def test_gmres_returns_its_true_residual():
     rng = np.random.default_rng(2)
     mat = np.eye(80) * 4.0 + rng.standard_normal((80, 80)) / 10.0
     b = rng.standard_normal(80)
-    x, r, converged = elliptic._gmres(lambda v: mat @ v, lambda v: v / 4.0, b)
-    assert converged
-    np.testing.assert_allclose(r, b - mat @ x, rtol=0.0, atol=1e-15)
-    assert np.linalg.norm(r) <= elliptic._KRYLOV_RTOL * np.linalg.norm(b)
+    for rtol in (elliptic._KRYLOV_RTOL, elliptic._ETA_MAX):
+        x, r, converged = elliptic._gmres(lambda v: mat @ v, lambda v: v / 4.0, b, rtol)
+        assert converged
+        np.testing.assert_allclose(r, b - mat @ x, rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(r) <= rtol * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("failure", ["gmres-info", "residual-check"])
+@pytest.mark.parametrize("failure", ["gmres-info", "residual-check", "loose-step"])
 def test_failed_krylov_step_falls_back_to_sparse_lu(
     grid32, scalar_mats, chafee2, monkeypatch, splu_calls, failure
 ):
-    def broken_gmres(apply, precondition, b):
-        # either GMRES admits failure, or it claims success with a result
-        # whose true residual is far off
+    def broken_gmres(apply, precondition, b, rtol):
+        # GMRES admits failure; or it claims success with a result whose
+        # true residual is far off; or, on a loose Newton step, with a result
+        # whose true residual is twice the check scaled to that tolerance
         if failure == "gmres-info":
             return np.zeros_like(b), b, False
-        x = 0.5 * b
+        if failure == "residual-check":
+            x = 0.5 * b
+        else:
+            scale = elliptic._KRYLOV_CHECK * rtol / elliptic._KRYLOV_RTOL
+            x = (1.0 - 2.0 * scale) * splu(system.jacobian(u)).solve(b)
         return x, b - apply(x), True
 
     monkeypatch.setattr(elliptic, "_gmres", broken_gmres)
@@ -474,7 +480,10 @@ def test_failed_krylov_step_falls_back_to_sparse_lu(
     )
     u = np.broadcast_to(u_tau.values, system.shape3).ravel().copy()
     r = system.residual(u)
-    dx = system.solve_step(u, r)
+    if failure == "loose-step":
+        dx = system.solve(u, -r, elliptic._ETA_MAX)
+    else:
+        dx = system.solve_step(u, r)
     assert len(splu_calls) == 1
     np.testing.assert_array_equal(dx, splu(system.jacobian(u)).solve(-r))
 
@@ -665,6 +674,106 @@ def test_evolve_warm_start_saves_newton_iterations(
     monkeypatch.setattr(elliptic, "solve_truncated_bvp", cold)
     ctx.evolve(u0, 0.0, 2.5, 0.25)
     assert warm_iters < sum(newton_iterations)
+
+
+# ---------------------------------------------------------------------------
+# inexact Newton: Eisenstat-Walker forcing terms
+
+
+def test_forcing_terms_follow_eisenstat_walker_choice_two():
+    eta_max = elliptic._ETA_MAX
+    assert eta_max == 1e-5
+    assert elliptic._forcing_term(3.0, None) == eta_max  # the first step
+    # 0.9 (|F_k| / |F_k-1|)^2 between the cap and the floor
+    assert elliptic._forcing_term(1e-4, 1e-1) == pytest.approx(0.9e-6, rel=1e-14)
+    assert elliptic._forcing_term(2e-6, 1e-3) == pytest.approx(3.6e-6, rel=1e-14)
+    # a slow step is capped, a very fast one floored at the exact tolerance
+    assert elliptic._forcing_term(0.5, 1.0) == eta_max
+    assert elliptic._forcing_term(2.0, 1.0) == eta_max
+    assert elliptic._forcing_term(1e-9, 1.0) == elliptic._KRYLOV_RTOL
+
+
+@pytest.fixture
+def solve_tolerances(monkeypatch):
+    """Relative tolerance of each _SpaceTimeSystem.solve call, in call order."""
+    tolerances = []
+    real = _SpaceTimeSystem.solve
+
+    def spy(self, values, rhs, rtol=elliptic._KRYLOV_RTOL):
+        tolerances.append(rtol)
+        return real(self, values, rhs, rtol)
+
+    monkeypatch.setattr(_SpaceTimeSystem, "solve", spy)
+    return tolerances
+
+
+def test_newton_steps_take_the_forcing_term_of_their_trace(
+    grid32, scalar_mats, chafee2, solve_tolerances, monkeypatch
+):
+    # a cold window needs several Newton steps: the first runs GMRES to
+    # eta_max, each later one to the forcing term of the last two residuals,
+    # and a single Jacobian solve stays exact
+    traces = []
+    real = elliptic.damped_newton
+
+    def spy(*args, **kwargs):
+        x, trace = real(*args, **kwargs)
+        traces.append(trace)
+        return x, trace
+
+    monkeypatch.setattr(elliptic, "damped_newton", spy)
+    g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 1.0)
+    cg = CylinderGrid(0.0, 1.5, 96, 0.1)
+    base = solve_truncated_bvp(grid32, cg, scalar_mats, chafee2, g, sine_field(grid32, [1.5, 0.3]))
+    (trace,) = traces
+    assert len(trace) >= 4
+    expect = [elliptic._ETA_MAX] + [
+        elliptic._forcing_term(trace[i], trace[i - 1]) for i in range(1, len(trace) - 1)
+    ]
+    assert solve_tolerances == expect
+    assert min(expect) < elliptic._ETA_MAX  # the steps tighten near the root
+    del solve_tolerances[:]
+    variational_process(base, sine_field(grid32, [1.0]), scalar_mats, chafee2)
+    assert solve_tolerances == [elliptic._KRYLOV_RTOL]
+
+
+@pytest.fixture
+def preconditioner_applications(monkeypatch):
+    """Preconditioner applications inside the elliptic GMRES, as a counter."""
+    count = [0]
+    real = elliptic._gmres
+
+    def spy(apply, precondition, b, rtol):
+        def counted(y):
+            count[0] += 1
+            return precondition(y)
+
+        return real(apply, counted, b, rtol)
+
+    monkeypatch.setattr(elliptic, "_gmres", spy)
+    return count
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_inexact_newton_keeps_trajectories_and_saves_krylov_work(
+    grid64, scalar_mats, chafee2, newton_iterations, preconditioner_applications,
+    monkeypatch, eps,
+):
+    # attractor-sweep windows: the forcing terms leave every slice within
+    # 1e-10 of exact Newton steps (eta pinned to the exact tolerance), take
+    # no more Newton steps and at least 35% fewer preconditioner applications
+    g = Periodic(Field.zeros(grid64), sine_field(grid64, [0.5]), 1.0)
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, g, eps=eps)
+    u0 = sine_field(grid64, [1.2, 0.0, 0.4])
+    inexact = ctx.evolve(u0, 0.0, 2.5, 0.25)
+    inexact_iters, inexact_apps = sum(newton_iterations), preconditioner_applications[0]
+    del newton_iterations[:]
+    preconditioner_applications[0] = 0
+    monkeypatch.setattr(elliptic, "_ETA_MAX", elliptic._KRYLOV_RTOL)
+    exact = ctx.evolve(u0, 0.0, 2.5, 0.25)
+    assert np.max(np.abs(inexact.values - exact.values)) <= 1e-10
+    assert inexact_iters <= sum(newton_iterations)
+    assert inexact_apps <= 0.65 * preconditioner_applications[0]
 
 
 def test_explicit_margin_keeps_its_steps(grid32, scalar_mats, chafee2, monkeypatch):

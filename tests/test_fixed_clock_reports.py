@@ -1,0 +1,49 @@
+"""tools/fixed_clock_reports.py on the demo config."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fixed_clock_reports = load_script("fixed_clock_reports")
+report_diff = load_script("report_diff")
+
+
+def test_reports_land_where_report_diff_reads_them(tmp_path, capsys, configs_dir):
+    demo = configs_dir / "demo-solve.json"
+    for side in ("old", "new"):
+        assert fixed_clock_reports.main([str(tmp_path / side), str(demo)]) == 0
+    report = json.loads((tmp_path / "old" / "demo-solve" / "report.json").read_text())
+    assert report["wall_clock"] == 0.0
+    assert report["experiment"]["out_dir"] == str(tmp_path / "old" / "demo-solve")
+    assert all(v["pass"] for v in report["verdicts"])
+    capsys.readouterr()
+    assert report_diff.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out == "demo-solve: identical\n"
+
+
+def test_every_shipped_config_by_default(tmp_path, monkeypatch, capsys):
+    # without configs the tool runs configs/*.json, each into OUT_DIR/<name>
+    runs = []
+
+    def lab(argv):
+        runs.append(argv)
+        return 1 if "c02-modal-decay" in argv[2] else 0
+
+    monkeypatch.setattr("cylinderlab.cli.main", lab)
+    assert fixed_clock_reports.main([str(tmp_path)]) == 1
+    shipped = sorted((TOOLS.parent / "configs").glob("*.json"))
+    assert len(runs) == len(shipped) > 1
+    for argv, config in zip(runs, shipped):
+        kind = json.loads(config.read_text())["kind"]
+        assert argv == [kind, "--config", str(config), "--out", str(tmp_path / config.stem),
+                        "--fixed-clock"]
