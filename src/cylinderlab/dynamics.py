@@ -290,40 +290,16 @@ class CloudParams:
     discard: float = 0.0
 
 
-def unstable_manifold_sample(
-    record: EquilibriumRecord,
-    split: SpectralSplit,
-    radius: float,
-    n_rays: int,
-    t_grow: float,
-    context: Context,
-    stride: float = 0.25,
-    discard: float = 0.0,
-) -> PointCloud:
-    """Cloud of forward-evolved points seeded on the unstable eigenrays.
+def _ray_starts(
+    record: EquilibriumRecord, split: SpectralSplit, radius: float, n_rays: int, stride: float
+) -> list[Field]:
+    """Initial states on the unstable eigenrays of record (none if it is stable).
 
     Seed radii are staggered log-uniformly across one stride e-fold
     (factor exp(nu stride s / S)), so after any number of strides the
     slice trains of neighbouring rays interleave; effective parameter
     resolution along the manifold is stride / S rather than stride.
     """
-    meta = {
-        "source": "unstable-manifold",
-        "eps": context.eps,
-        "radius": radius,
-        "n_rays": n_rays,
-        "t_grow": t_grow,
-        "stride": stride,
-    }
-    starts = _ray_starts(record, split, radius, n_rays, stride)
-    trajs = _evolve_all(context, starts, t_grow, stride)
-    return PointCloud((record.z, *_slices(trajs, discard)), meta)
-
-
-def _ray_starts(
-    record: EquilibriumRecord, split: SpectralSplit, radius: float, n_rays: int, stride: float
-) -> list[Field]:
-    """Initial states on the unstable eigenrays of record (none if it is stable)."""
     z = record.z
     grid, k = z.grid, z.k
     if split.dim == 0:
@@ -528,12 +504,12 @@ def heteroclinic_classify(
     def resolve(j_edge: int, t_inner: float) -> int | None:
         u_edge = trajectory.values[j_edge]
         u_inner = trajectory.values[int(np.argmin(np.abs(times - t_inner)))]
-        speed = math.sqrt(h * float(np.sum((u_inner - u_edge) ** 2)))
+        speed = _l2_gap(u_inner, u_edge, h)
         if speed > tol:
             return None
         best, best_d = None, math.inf
         for i, rec in enumerate(equilibria):
-            d = math.sqrt(h * float(np.sum((u_edge - rec.z.values) ** 2)))
+            d = _l2_gap(u_edge, rec.z.values, h)
             if d < best_d:
                 best, best_d = i, d
         return best if best_d <= tol else None

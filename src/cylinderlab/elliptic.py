@@ -308,10 +308,6 @@ class _SpaceTimeSystem:
                     return x
         return _factor_solve(self.jacobian(values), rhs)
 
-    def solve_step(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The exact Newton step: J(u) dx = -r to _KRYLOV_RTOL."""
-        return self.solve(u, -r)
-
 
 def _forcing_term(norm: float, previous: float | None) -> float:
     """Relative GMRES tolerance of a Newton step from a residual of sup norm

@@ -6,17 +6,14 @@ FastScaled(g, eps) per sweep point); solve-parabolic and equilibria read it
 as the parabolic right-hand side directly.  Any error an experiment raises
 (a library error or a bad params value) surfaces as a failed "completed"
 verdict carrying the exception type, never as a crash; a NewtonDiverged
-also carries the tail of its residual trace.  Independent sweep cells run
-on a thread pool capped by the LAB_THREADS environment variable, gathered
-in submission order so results do not depend on scheduling.
+also carries the tail of its residual trace.  Sweep cells run one after
+another on the calling thread, in config order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,25 +51,13 @@ from .parabolic import LimitContext, StepOptions, lyapunov_value, semigroup_evol
 from .reports import Report
 
 
-def _max_workers() -> int:
-    env = os.environ.get("LAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _pmap(fn, arg_rows):
-    """Map over cells on a thread pool, gathered in submission order."""
-    arg_rows = list(arg_rows)
-    workers = min(_max_workers(), max(1, len(arg_rows)))
-    if workers == 1 or len(arg_rows) <= 1:
-        return [fn(*args) for args in arg_rows]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in arg_rows]
-        return [f.result() for f in futures]
+    """Run fn over the sweep cells in order, on the calling thread.
+
+    Kept as one named function, rather than a list comprehension at each
+    sweep, because bench/tracer.py wraps it to time and count the cells.
+    """
+    return [fn(*args) for args in arg_rows]
 
 
 def _geometry(config: ExperimentConfig):

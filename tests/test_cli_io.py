@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cylinderlab import (
 from cylinderlab.cli import main
 from cylinderlab.reports import fit_plot_svg, report_json
 from cylinderlab import runner
-from cylinderlab.runner import _max_workers
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +375,7 @@ def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, m
     assert not (tmp_path / "out").exists()
 
 
-def test_run_is_deterministic_byte_for_byte(tmp_path, monkeypatch):
-    monkeypatch.setenv("LAB_THREADS", "2")
+def test_run_is_deterministic_byte_for_byte(tmp_path):
     cfg = load_config(census_config(tmp_path, tolerances={"expected_counts": [3]}))
     rep1 = run(cfg, fixed_clock=True)
     rep2 = run(cfg, fixed_clock=True)
@@ -395,15 +394,17 @@ def test_wall_clock_measured_without_fixed_clock(tmp_path):
     assert report.wall_clock > 0.0
 
 
-def test_worker_cap_reads_environment(monkeypatch):
-    monkeypatch.setenv("LAB_THREADS", "1")
-    assert _max_workers() == 1
-    monkeypatch.setenv("LAB_THREADS", "9")
-    assert _max_workers() == 9
-    monkeypatch.setenv("LAB_THREADS", "junk")
-    assert 1 <= _max_workers() <= 4
-    monkeypatch.delenv("LAB_THREADS")
-    assert 1 <= _max_workers() <= 4
+def test_cells_run_in_order_on_the_calling_thread(monkeypatch):
+    # a LAB_THREADS left in the environment is ignored
+    monkeypatch.setenv("LAB_THREADS", "2")
+    seen = []
+
+    def cell(i):
+        seen.append((i, threading.get_ident()))
+        return 10 * i
+
+    assert runner._pmap(cell, [(i,) for i in range(4)]) == [0, 10, 20, 30]
+    assert seen == [(i, threading.get_ident()) for i in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from cylinderlab import (
     sine_field,
     track_periodic_solution,
     trajectory_vs_limit,
-    unstable_manifold_sample,
     zero_nonlinearity,
 )
 from conftest import PI, disc_eig
@@ -177,11 +176,10 @@ def test_split_requires_hyperbolic(lam1_origin, scalar_mats):
 # manifolds and attractor clouds
 
 
-def test_manifold_of_stable_point_is_singleton(cloud48, scalar_mats):
+def test_manifold_of_stable_point_is_singleton(cloud48):
     records, nl, lctx, _ = cloud48
     stable = [r for r in records if r.index == 0][0]
-    split = spectral_split(stable, scalar_mats, nl)
-    cloud = unstable_manifold_sample(stable, split, 1e-3, 4, 5.0, lctx)
+    cloud = sample_attractor(lctx, [stable], CloudParams(radius=1e-3, n_rays=4, t_grow=5.0))
     assert len(cloud) == 1
     np.testing.assert_array_equal(cloud.points[0].values, stable.z.values)
 

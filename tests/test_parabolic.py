@@ -33,7 +33,6 @@ from cylinderlab import (
     zero_nonlinearity,
 )
 from cylinderlab.config import load_config
-from cylinderlab.reports import report_json
 from cylinderlab.runner import run
 from conftest import PI, disc_eig
 
@@ -418,15 +417,6 @@ def test_forced_lyapunov_is_monotone(tmp_path, configs_dir):
     increases = [row[3] for row in report.tables[0].rows]
     assert report.all_pass, [v.detail for v in report.verdicts if not v.passed]
     assert max(increases) < 0.0
-
-
-def test_c13_report_is_identical_across_thread_counts(configs_dir, monkeypatch):
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LAB_THREADS", threads)
-        reports.append(report_json(run(load_config(configs_dir / "c13-determinism.json"),
-                                       fixed_clock=True)))
-    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

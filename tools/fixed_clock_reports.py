@@ -11,7 +11,7 @@ declares.  Two such directories, one per commit, are what
 
 compares.  The configs run one after another in this process, with the
 package imported from the src/ directory next to this script; like `lab`,
-the runs read LAB_THREADS and OPENBLAS_NUM_THREADS from the environment.
+the runs read OPENBLAS_NUM_THREADS from the environment.
 The exit status is the largest one of the runs: 0 if every verdict passed,
 1 if one failed, 2 if a config could not be run.
 """
