@@ -2,6 +2,9 @@
 
 Unknown keys are rejected everywhere (reproducibility over leniency), and
 every validation failure names the offending field by its dotted path.
+load_config resolves every key an experiment reads through one table,
+SCHEMAS, so the experiments get typed values, parsed profiles and one
+parsed forcing, with the defaults filled in.
 """
 
 from __future__ import annotations
@@ -9,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import CloudParams
 from .errors import ParseError, ValidationError
 from .forcing import Constant, FastScaled, Forcing, Heteroclinic, Patchwork, Periodic, Quasiperiodic
 from .model import (
@@ -26,18 +31,7 @@ from .model import (
     zero_nonlinearity,
 )
 
-KINDS = (
-    "solve-elliptic",
-    "solve-parabolic",
-    "equilibria",
-    "converge",
-    "attractor",
-    "average",
-    "regularity-probe",
-)
-
-# experiment variants accepted per kind; "params" keys are checked against
-# _PARAM_KEYS and tolerances against _TOL_KEYS for the chosen variant
+# experiment variants accepted per kind; SCHEMAS says what each one reads
 EXPERIMENTS = {
     "solve-elliptic": ("solve", "modal-decay", "frechet"),
     "solve-parabolic": ("solve", "lyapunov"),
@@ -47,84 +41,7 @@ EXPERIMENTS = {
     "average": ("attractor-mean",),
     "regularity-probe": ("solution-ratios", "symbol-bounds"),
 }
-
-_PARAM_KEYS = {
-    "solve": {"eps", "t_len", "m_steps", "u0"},
-    "modal-decay": {"t_len", "m_steps", "u0", "t_check"},
-    "frechet": {"eps", "t_len", "m_steps", "u0", "xi", "deltas", "newton_tol"},
-    "lyapunov": {"n_trajectories", "t_end", "dt", "amplitude"},
-    "census": {"seed_count", "sweep_lambda"},
-    "delegation-gap": {"t_end", "stride", "u0"},
-    "trajectory-rate": {"t_end", "stride", "u0"},
-    "periodic-orbit": {"t_track"},
-    "synthetic-power-law": {"eps", "distances"},
-    "structure": {"radius", "t_grow", "stride", "n_rays"},
-    "distance-sweep": {"radius", "t_grow", "stride", "n_rays", "discard"},
-    "attractor-mean": {"radius", "t_grow", "stride", "n_rays", "discard", "window0", "mean_tol"},
-    "solution-ratios": {"u0"},
-    "symbol-bounds": {"pairs", "eps_grid", "xi_points", "xi_range"},
-}
-
-_TOL_KEYS = {
-    "solve": set(),
-    "modal-decay": {"rel_err"},
-    "frechet": {"ratio_lo", "ratio_hi"},
-    "lyapunov": {"max_increase"},
-    "census": {"expected_counts", "expected_indices"},
-    "delegation-gap": {"rel_gap"},
-    "trajectory-rate": {"slope_min", "residual_max"},
-    "periodic-orbit": {"residual_max"},
-    "synthetic-power-law": {"slope", "slope_tol"},
-    "structure": {"endpoint_tol"},
-    "distance-sweep": {"final_dist"},
-    "attractor-mean": {},
-    "solution-ratios": {"spread"},
-    "symbol-bounds": {"ratio_lo", "ratio_hi"},
-}
-
-# scalar params: the minimum of each integer, the sign rule of each real
-# (synthetic-power-law reads its eps as a list and checks it on its own)
-_INTEGER_PARAMS = {"m_steps": 2, "n_trajectories": 0, "seed_count": 1, "n_rays": 1, "xi_points": 1}
-_POSITIVE = {"positive": True}
-_NONNEGATIVE = {"nonnegative": True}
-_REAL_PARAMS = {
-    "eps": _NONNEGATIVE,
-    "t_len": _POSITIVE,
-    "t_check": _NONNEGATIVE,
-    "newton_tol": _POSITIVE,
-    "t_end": _POSITIVE,
-    "dt": _POSITIVE,
-    "amplitude": {},
-    "t_track": _POSITIVE,
-    "radius": _POSITIVE,
-    "t_grow": _POSITIVE,
-    "stride": _POSITIVE,
-    "discard": _NONNEGATIVE,
-    "window0": _POSITIVE,
-    "mean_tol": _POSITIVE,
-}
-
-# list params: the shortest list and the sign rule of each entry ("pairs"
-# holds [alpha, beta] pairs and is checked on its own)
-_LIST_PARAMS = {
-    "deltas": (2, _POSITIVE),
-    "sweep_lambda": (1, {}),
-    "eps_grid": (1, _NONNEGATIVE),
-    "xi_range": (2, {}),
-}
-
-# defaults of the params that take part in a rule across two keys; the
-# experiments read the same values
-MODAL_DECAY_DEFAULTS = {"t_len": 2.0, "t_check": 1.0}
-STRIDE_DEFAULTS = {
-    "delegation-gap": 0.25, "trajectory-rate": 0.125,
-    "structure": 0.25, "distance-sweep": 0.25, "attractor-mean": 0.25,
-}
-
-# experiments whose truncated cylinders read the far-boundary margin
-_MARGIN_EXPERIMENTS = {
-    "trajectory-rate", "periodic-orbit", "distance-sweep", "attractor-mean", "solution-ratios",
-}
+KINDS = tuple(EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -153,10 +70,13 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A loaded config: params and tolerances hold every key the experiment
+    reads, resolved; raw is the JSON as written, which the report echoes."""
+
     kind: str
     experiment: str
     problem: ProblemSpec
-    forcing: dict | None
+    forcing: Forcing
     eps_list: tuple
     params: dict
     tolerances: dict
@@ -194,11 +114,16 @@ def _number(obj, path: str, positive=False, nonnegative=False) -> float:
     return v
 
 
-def _numbers(obj, path: str, min_len: int, **sign) -> list[float]:
+def _list(obj, path: str, min_len: int, what: str) -> list:
     if not isinstance(obj, list) or len(obj) < min_len:
-        _fail(path, f"expected a list of at least {min_len} numbers" if min_len > 1 else
-              "expected a nonempty list of numbers")
-    return [_number(v, f"{path}[{i}]", **sign) for i, v in enumerate(obj)]
+        size = {0: "a list of", 1: "a nonempty list of"}.get(min_len)
+        _fail(path, f"expected {size or f'a list of at least {min_len}'} {what}")
+    return obj
+
+
+def _numbers(obj, path: str, min_len: int, **sign) -> list[float]:
+    vals = _list(obj, path, min_len, "numbers")
+    return [_number(v, f"{path}[{i}]", **sign) for i, v in enumerate(vals)]
 
 
 def _integer(obj, path: str, minimum=None) -> int:
@@ -207,6 +132,13 @@ def _integer(obj, path: str, minimum=None) -> int:
     if minimum is not None and obj < minimum:
         _fail(path, f"must be >= {minimum}")
     return obj
+
+
+def _eps(obj, path: str, problem=None) -> float:
+    v = _number(obj, path, nonnegative=True)
+    if v > EPS_MAX:
+        _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
+    return v
 
 
 def _matrix(obj, path: str, k: int) -> np.ndarray:
@@ -254,7 +186,7 @@ def _parse_problem(obj, path: str) -> ProblemSpec:
     return spec
 
 
-_PROFILE_KINDS = {"sine", "uniform", "zero"}
+_PROFILE_KINDS = ("sine", "uniform", "zero")
 
 
 def parse_profile(obj, grid: SpatialGrid, k: int, path: str = "profile") -> Field:
@@ -304,22 +236,13 @@ _FORCING_KEYS = {
 }
 
 
-def validate_forcing(obj, path: str = "forcing"):
-    """Structural check without a grid; full parse happens in parse_forcing."""
+def parse_forcing(obj, grid: SpatialGrid, k: int, path: str = "forcing") -> Forcing:
     if not isinstance(obj, dict) or "type" not in obj:
         _fail(path, "expected an object with a 'type' key")
     ftype = obj["type"]
-    if ftype not in _FORCING_KEYS:
+    if not isinstance(ftype, str) or ftype not in _FORCING_KEYS:
         _fail(f"{path}.type", f"unknown forcing type {ftype!r}")
-    required, optional = _FORCING_KEYS[ftype]
-    _require_keys(obj, path, required, optional)
-    for key in ("g1", "g2", "inner"):
-        if key in obj:
-            validate_forcing(obj[key], f"{path}.{key}")
-
-
-def parse_forcing(obj, grid: SpatialGrid, k: int, path: str = "forcing") -> Forcing:
-    ftype = obj["type"]
+    _require_keys(obj, path, *_FORCING_KEYS[ftype])
     if ftype == "constant":
         return Constant(parse_profile(obj["mean"], grid, k, f"{path}.mean"))
     if ftype == "periodic":
@@ -353,54 +276,208 @@ def parse_forcing(obj, grid: SpatialGrid, k: int, path: str = "forcing") -> Forc
     )
 
 
-def _validate_params(experiment: str, params: dict, tolerances: dict, problem: ProblemSpec):
-    allowed = _PARAM_KEYS[experiment]
-    for key, value in params.items():
-        path = f"params.{key}"
-        if key not in allowed:
-            _fail(path, f"unknown key for experiment {experiment!r}")
-        if key in _INTEGER_PARAMS:
-            _integer(value, path, minimum=_INTEGER_PARAMS[key])
-        elif key in _REAL_PARAMS and experiment != "synthetic-power-law":
-            v = _number(value, path, **_REAL_PARAMS[key])
-            if key == "stride" and abs(1.0 / v - round(1.0 / v)) > 1e-9:
-                _fail(path, "must divide one time unit")
-            if key == "eps" and v > EPS_MAX:
-                _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
-        elif key in _LIST_PARAMS:
-            vals = _numbers(value, path, _LIST_PARAMS[key][0], **_LIST_PARAMS[key][1])
-            if key == "xi_range" and (len(vals) != 2 or vals[0] >= vals[1]):
-                _fail(path, "expected [lo, hi] with lo < hi")
-        elif key == "pairs":
-            if not isinstance(value, list) or not value:
-                _fail(path, "expected a nonempty list of [alpha, beta] pairs")
-            for i, pair in enumerate(value):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    _fail(f"{path}[{i}]", "expected an [alpha, beta] pair")
-                _number(pair[0], f"{path}[{i}][0]", positive=True)
-                _number(pair[1], f"{path}[{i}][1]")
-        elif key in ("u0", "xi"):
-            parse_profile(value, problem.grid(), problem.k, path)
-    if experiment == "synthetic-power-law":
-        eps, dists = (_numbers(params.get(key), f"params.{key}", 3, positive=True)
-                      for key in ("eps", "distances"))
-        if len(eps) != len(dists):
-            _fail("params.distances", f"expected {len(eps)} distances, one per eps")
-    if experiment in STRIDE_DEFAULTS:
-        stride = params.get("stride", STRIDE_DEFAULTS[experiment])
-        # an absent span key defaults to whole time units, which every
-        # stride that divides one time unit divides as well
-        for key in ("t_end", "t_grow"):
-            if key in params and abs(params[key] / stride - round(params[key] / stride)) > 1e-9:
-                _fail(f"params.{key}", f"must be a multiple of stride {stride:g}")
-    if experiment == "modal-decay":
-        t_len = params.get("t_len", MODAL_DECAY_DEFAULTS["t_len"])
-        if params.get("t_check", MODAL_DECAY_DEFAULTS["t_check"]) > t_len:
-            _fail("params.t_check", f"must not exceed t_len {t_len:g}")
-    allowed_tol = _TOL_KEYS[experiment]
-    for key in tolerances:
-        if key not in allowed_tol:
-            _fail(f"tolerances.{key}", f"unknown key for experiment {experiment!r}")
+# ---------------------------------------------------------------------------
+# the experiment table: each check maps (value, dotted path, problem) to the
+# resolved value, or fails naming the path
+
+
+def _real(**sign):
+    return lambda v, path, problem: _number(v, path, **sign)
+
+
+def _int(minimum: int):
+    return lambda v, path, problem: _integer(v, path, minimum)
+
+
+def _reals(min_len: int, **sign):
+    return lambda v, path, problem: _numbers(v, path, min_len, **sign)
+
+
+_POS, _NONNEG = _real(positive=True), _real(nonnegative=True)
+
+
+def _stride(v, path, problem) -> float:
+    v = _number(v, path, positive=True)
+    if abs(1.0 / v - round(1.0 / v)) > 1e-9:
+        _fail(path, "must divide one time unit")
+    return v
+
+
+def _profile(v, path, problem) -> Field:
+    return parse_profile(v, problem.grid(), problem.k, path)
+
+
+def _sine(amplitude: float):
+    """Default profile: amplitude times the first sine mode in every component."""
+    return lambda k: {"kind": "sine", "coeffs": [[amplitude] * k]}
+
+
+def _pairs(v, path, problem) -> list[list[float]]:
+    pairs = []
+    for i, pair in enumerate(_list(v, path, 1, "[alpha, beta] pairs")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail(f"{path}[{i}]", "expected an [alpha, beta] pair")
+        pairs.append([_number(pair[0], f"{path}[{i}][0]", positive=True),
+                      _number(pair[1], f"{path}[{i}][1]")])
+    return pairs
+
+
+def _xi_range(v, path, problem) -> list[float]:
+    vals = _numbers(v, path, 2)
+    if len(vals) != 2 or vals[0] >= vals[1]:
+        _fail(path, "expected [lo, hi] with lo < hi")
+    return vals
+
+
+def _counts(v, path, problem, min_len=1) -> list[int]:
+    vals = _list(v, path, min_len, "integers")
+    return [_integer(c, f"{path}[{i}]", 0) for i, c in enumerate(vals)]
+
+
+def _index_lists(v, path, problem) -> list[list[int]]:
+    rows = _list(v, path, 1, "lists of integers")
+    return [_counts(row, f"{path}[{i}]", problem, min_len=0) for i, row in enumerate(rows)]
+
+
+# rules across keys, checked on the resolved params and tolerances
+def _t_check_within_t_len(p, tol):
+    if p["t_check"] > p["t_len"]:
+        _fail("params.t_check", f"must not exceed t_len {p['t_len']:g}")
+
+
+def _spans_fit_stride(p, tol):
+    for key in ("t_end", "t_grow"):
+        if key in p and abs(p[key] / p["stride"] - round(p[key] / p["stride"])) > 1e-9:
+            _fail(f"params.{key}", f"must be a multiple of stride {p['stride']:g}")
+
+
+def _one_distance_per_eps(p, tol):
+    if len(p["distances"]) != len(p["eps"]):
+        _fail("params.distances", f"expected {len(p['eps'])} distances, one per eps")
+
+
+def _one_expectation_per_cell(p, tol):
+    cells = 1 if p["sweep_lambda"] is None else len(p["sweep_lambda"])
+    for key in ("expected_counts", "expected_indices"):
+        if tol[key] is not None and len(tol[key]) != cells:
+            _fail(f"tolerances.{key}", f"expected one entry per sweep cell ({cells})")
+
+
+class Schema(NamedTuple):
+    """What one experiment reads.  params and tolerances map each key to
+    (check, default): an absent key takes default, written as in a config
+    file (a function of k for a profile); None leaves it None for the
+    experiment or the library to size, and _REQUIRED makes the key
+    required.  eps_list is the fewest entries the experiment needs (0 when
+    it reads none), margin whether it reads the far-boundary margin."""
+
+    params: dict
+    tolerances: dict
+    eps_list: int = 0
+    margin: bool = False
+    rules: tuple = ()
+
+
+_REQUIRED = object()
+_CLOUD = CloudParams()
+_CLOUD_KEYS = {
+    "radius": (_POS, _CLOUD.radius), "t_grow": (_POS, _CLOUD.t_grow),
+    "stride": (_stride, _CLOUD.stride), "n_rays": (_int(1), _CLOUD.n_rays),
+    "discard": (_NONNEG, _CLOUD.discard),
+}
+
+SCHEMAS = {
+    "solve": Schema(
+        {"eps": (_eps, 0.1), "t_len": (_POS, 2.0), "m_steps": (_int(2), None),
+         "u0": (_profile, _sine(0.5))},
+        {},
+    ),
+    "modal-decay": Schema(
+        {"t_len": (_POS, 2.0), "m_steps": (_int(2), 200), "u0": (_profile, _sine(1.0)),
+         "t_check": (_NONNEG, 1.0)},
+        {"rel_err": (_POS, 0.01)},
+        eps_list=1, rules=(_t_check_within_t_len,),
+    ),
+    "frechet": Schema(
+        {"eps": (_eps, 0.1), "t_len": (_POS, 2.0), "m_steps": (_int(2), 128),
+         "u0": (_profile, _sine(0.5)), "xi": (_profile, _sine(1.0)),
+         "deltas": (_reals(2, positive=True), [1e-3, 1e-4]), "newton_tol": (_POS, 1e-12)},
+        {"ratio_lo": (_POS, 5.0), "ratio_hi": (_POS, 20.0)},
+    ),
+    "lyapunov": Schema(
+        {"n_trajectories": (_int(0), 20), "t_end": (_POS, 2.0), "dt": (_POS, 1e-3),
+         "amplitude": (_real(), 1.0)},
+        {"max_increase": (_NONNEG, 1e-8)},
+    ),
+    "census": Schema(
+        {"seed_count": (_int(1), 12), "sweep_lambda": (_reals(1), None)},
+        {"expected_counts": (_counts, None), "expected_indices": (_index_lists, None)},
+        rules=(_one_expectation_per_cell,),
+    ),
+    "delegation-gap": Schema(
+        {"t_end": (_POS, 2.0), "stride": (_stride, 0.25), "u0": (_profile, _sine(0.5))},
+        {"rel_gap": (_NONNEG, 1e-6)},
+        rules=(_spans_fit_stride,),
+    ),
+    "trajectory-rate": Schema(  # rate_fit needs three eps
+        {"t_end": (_POS, 3.0), "stride": (_stride, 0.125), "u0": (_profile, _sine(0.4))},
+        {"slope_min": (_real(), 0.45), "residual_max": (_NONNEG, 0.3)},
+        eps_list=3, margin=True, rules=(_spans_fit_stride,),
+    ),
+    "periodic-orbit": Schema(
+        {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)}, eps_list=1, margin=True,
+    ),
+    "synthetic-power-law": Schema(
+        {"eps": (_reals(3, positive=True), _REQUIRED),
+         "distances": (_reals(3, positive=True), _REQUIRED)},
+        {"slope": (_real(), 0.5), "slope_tol": (_NONNEG, 0.05)},
+        rules=(_one_distance_per_eps,),
+    ),
+    "structure": Schema(
+        {"radius": (_POS, 2e-4), "t_grow": (_POS, 18.0), "stride": (_stride, 0.25),
+         "n_rays": (_int(1), 16)},
+        {"endpoint_tol": (_POS, 1e-3)},
+        rules=(_spans_fit_stride,),
+    ),
+    "distance-sweep": Schema(
+        _CLOUD_KEYS, {"final_dist": (_NONNEG, 5e-2)},
+        eps_list=1, margin=True, rules=(_spans_fit_stride,),
+    ),
+    "attractor-mean": Schema(
+        {**_CLOUD_KEYS, "window0": (_POS, 32.0), "mean_tol": (_POS, 1e-2)}, {},
+        eps_list=1, margin=True, rules=(_spans_fit_stride,),
+    ),
+    "solution-ratios": Schema(
+        {"u0": (_profile, _sine(1.0))}, {"spread": (_POS, 2.0)}, eps_list=1, margin=True,
+    ),
+    "symbol-bounds": Schema(
+        {"pairs": (_pairs, [[1.0, 0.0]]),
+         "eps_grid": (_reals(1, nonnegative=True), [0.0, 0.01, 0.1, 1.0]),
+         "xi_points": (_int(1), 100), "xi_range": (_xi_range, [-2.0, 3.0])},
+        {"ratio_lo": (_POS, 0.2), "ratio_hi": (_POS, 5.0)},
+    ),
+}
+
+
+def _resolve(obj, section: str, keys: dict, experiment: str, problem: ProblemSpec) -> dict:
+    """Every key of keys, checked from obj or filled in from its default."""
+    if not isinstance(obj, dict):
+        _fail(section, "expected an object")
+    for key in obj:
+        if key not in keys:
+            _fail(f"{section}.{key}", f"unknown key for experiment {experiment!r}")
+    out = {}
+    for key, (check, default) in keys.items():
+        path = f"{section}.{key}"
+        if key in obj:
+            out[key] = check(obj[key], path, problem)
+        elif default is _REQUIRED:
+            _fail(path, "missing required key")
+        elif default is None:
+            out[key] = None
+        else:
+            out[key] = check(default(problem.k) if callable(default) else default, path, problem)
+    return out
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -426,34 +503,31 @@ def load_config(path: str) -> ExperimentConfig:
     experiment = raw["experiment"]
     if experiment not in EXPERIMENTS[kind]:
         _fail("experiment", f"kind {kind!r} supports {EXPERIMENTS[kind]}, got {experiment!r}")
+    schema = SCHEMAS[experiment]
 
     problem = _parse_problem(raw["problem"], "problem")
+    grid = problem.grid()
+    if "forcing" in raw:
+        forcing = parse_forcing(raw["forcing"], grid, problem.k)
+    else:
+        forcing = Constant(Field.zeros(grid, problem.k))
+
+    params = _resolve(raw.get("params", {}), "params", schema.params, experiment, problem)
+    tolerances = _resolve(raw.get("tolerances", {}), "tolerances", schema.tolerances,
+                          experiment, problem)
+    for rule in schema.rules:
+        rule(params, tolerances)
 
     eps_list = ()
     if "eps_list" in raw:
-        seq = raw["eps_list"]
-        if not isinstance(seq, list) or not seq:
-            _fail("eps_list", "expected a nonempty list")
-        vals = [_number(v, f"eps_list[{i}]", nonnegative=True) for i, v in enumerate(seq)]
-        for i, v in enumerate(vals):
-            if v > EPS_MAX:
-                _fail(f"eps_list[{i}]", f"exceeds the anisotropy cap {EPS_MAX}")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
+        if not schema.eps_list:
+            _fail("eps_list", f"not used by experiment {experiment!r}")
+        seq = _list(raw["eps_list"], "eps_list", schema.eps_list, "numbers")
+        eps_list = tuple(_eps(v, f"eps_list[{i}]") for i, v in enumerate(seq))
+        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             _fail("eps_list", "must be sorted in strictly descending order")
-        eps_list = tuple(vals)
-
-    if "forcing" in raw:
-        validate_forcing(raw["forcing"])
-        # constructs every profile once so bad shapes fail at load time
-        parse_forcing(raw["forcing"], problem.grid(), problem.k)
-
-    params = raw.get("params", {})
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(params, dict):
-        _fail("params", "expected an object")
-    if not isinstance(tolerances, dict):
-        _fail("tolerances", "expected an object")
-    _validate_params(experiment, params, tolerances, problem)
+    elif schema.eps_list:
+        _fail("eps_list", "missing required key")
 
     out_dir = raw.get("out_dir", "lab-out")
     if not isinstance(out_dir, str) or not out_dir:
@@ -462,17 +536,17 @@ def load_config(path: str) -> ExperimentConfig:
     margin = None  # the solver sizes the far margin itself
     if "margin" in raw:
         margin = _number(raw["margin"], "margin", positive=True)
-        if experiment not in _MARGIN_EXPERIMENTS:
+        if not schema.margin:
             _fail("margin", f"not used by experiment {experiment!r}")
 
     return ExperimentConfig(
         kind=kind,
         experiment=experiment,
         problem=problem,
-        forcing=raw.get("forcing"),
+        forcing=forcing,
         eps_list=eps_list,
-        params=dict(params),
-        tolerances=dict(tolerances),
+        params=params,
+        tolerances=tolerances,
         out_dir=out_dir,
         seed=seed,
         margin=margin,

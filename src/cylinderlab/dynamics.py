@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import newton_krylov
+from scipy.optimize import NoConvergence, newton_krylov
 from scipy.spatial.distance import cdist
 
 from .elliptic import (
@@ -39,11 +39,6 @@ from .forcing import Constant, FastScaled, Forcing, forcing_mean, time_average
 from .model import CouplingMatrices, CylinderGrid, Field, Nonlinearity, Trajectory, sine_field
 from .newton import NewtonOptions, damped_newton
 from .parabolic import LimitContext, _BandedStepper
-
-try:  # scipy >= 1.10 exports it at the top level
-    from scipy.optimize import NoConvergence
-except ImportError:  # pragma: no cover
-    from scipy.optimize.nonlin import NoConvergence
 
 # hyperbolicity threshold on the discrete spectrum: the continuum-degenerate
 # Chafee-Infante cases discretize their zero eigenvalue to ~5e-5 at 128

@@ -1,29 +1,29 @@
 """Experiment dispatch: validated config in, report with verdicts out.
 
+Each experiment reads its params, tolerances and eps_list as load_config
+resolved them (config.SCHEMAS holds every key's check and default), so no
+default, cast or parse happens here; only defaults that depend on other
+inputs, such as the solve's m_steps, are computed below.  The report echoes
+params, tolerances and forcing as the config file wrote them.
+
 Conventions: the solve-elliptic, converge, attractor and average kinds read
 the config forcing in the elliptic orientation (profiles are wrapped as
 FastScaled(g, eps) per sweep point); solve-parabolic and equilibria read it
 as the parabolic right-hand side directly.  Any error an experiment raises
-(a library error or a bad params value) surfaces as a failed "completed"
-verdict carrying the exception type, never as a crash; a NewtonDiverged
-also carries the tail of its residual trace.  Sweep cells run one after
-another on the calling thread, in config order.
+surfaces as a failed "completed" verdict carrying the exception type, never
+as a crash; a NewtonDiverged also carries the tail of its residual trace.
+Sweep cells run one after another on the calling thread, in config order.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from .config import (
-    MODAL_DECAY_DEFAULTS,
-    STRIDE_DEFAULTS,
-    ExperimentConfig,
-    parse_forcing,
-    parse_profile,
-)
+from .config import ExperimentConfig
 from .dynamics import (
     CloudParams,
     _eps_forcing,
@@ -65,21 +65,6 @@ def _geometry(config: ExperimentConfig):
     return p.grid(), p.matrices(), p.nonlinearity()
 
 
-def _forcing_of(config: ExperimentConfig, grid, k):
-    if config.forcing is None:
-        return Constant(Field.zeros(grid, k))
-    return parse_forcing(config.forcing, grid, k)
-
-
-def _profile_param(config: ExperimentConfig, name, grid, k, default=None) -> Field:
-    spec = config.params.get(name)
-    if spec is None:
-        if default is None:
-            raise LabError(f"params.{name} is required for {config.experiment}")
-        return default
-    return parse_profile(spec, grid, k, f"params.{name}")
-
-
 def _context(config, grid, mats, nl, forcing, eps=0.0) -> ProcessContext:
     return ProcessContext(grid, mats, nl, forcing, eps, margin=config.margin)
 
@@ -88,30 +73,23 @@ def _l2(grid, values) -> float:
     return math.sqrt(grid.h * float(np.sum(values**2)))
 
 
-def _need_eps(config: ExperimentConfig) -> tuple:
-    if not config.eps_list:
-        raise LabError(f"eps_list is required for {config.experiment}")
-    return config.eps_list
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
 
 def _exp_solve(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    t_len = float(p.get("t_len", 2.0))
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.5)))
+    t_len, u0 = p["t_len"], p["u0"]
 
     if config.kind == "solve-parabolic":
-        m = int(p.get("m_steps", round(t_len / 1e-3)))
+        m = p["m_steps"] or round(t_len / 1e-3)
         traj = semigroup_evolve(u0, t_len, StepOptions(dt=t_len / m), mats, nl, g)
         times, values = traj.times, traj.values
     else:
-        eps = float(p.get("eps", 0.1))
-        m = int(p.get("m_steps", math.ceil(t_len / default_dt(eps))))
+        eps = p["eps"]
+        m = p["m_steps"] or math.ceil(t_len / default_dt(eps))
         u = solve_truncated_bvp(grid, CylinderGrid(0.0, t_len, m, eps), mats, nl, g, u0)
         times, values = u.cgrid.times, u.values
 
@@ -135,15 +113,11 @@ def _exp_solve(config: ExperimentConfig, report: Report):
 
 
 def _exp_modal_decay(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    t_len = float(p.get("t_len", MODAL_DECAY_DEFAULTS["t_len"]))
-    m = int(p.get("m_steps", 200))
-    t_check = float(p.get("t_check", MODAL_DECAY_DEFAULTS["t_check"]))
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.ones((1, mats.k))))
-    tol = float(config.tolerances.get("rel_err", 0.01))
+    t_len, m, t_check, u0 = p["t_len"], p["m_steps"], p["t_check"], p["u0"]
+    tol = config.tolerances["rel_err"]
 
     def cell(eps: float):
         u = solve_truncated_bvp(grid, CylinderGrid(0.0, t_len, m, eps), mats, nl, g, u0)
@@ -165,17 +139,12 @@ def _exp_modal_decay(config: ExperimentConfig, report: Report):
 
 def _exp_frechet(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    eps = float(p.get("eps", 0.1))
-    t_len = float(p.get("t_len", 2.0))
-    m = int(p.get("m_steps", 128))
-    deltas = [float(d) for d in p.get("deltas", (1e-3, 1e-4))]
-    opts = NewtonOptions(tol_residual=float(p.get("newton_tol", 1e-12)))
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.5)))
-    xi = _profile_param(config, "xi", grid, mats.k, sine_field(grid, np.ones((1, mats.k))))
+    deltas, u0, xi = p["deltas"], p["u0"], p["xi"]
+    opts = NewtonOptions(tol_residual=p["newton_tol"])
 
-    cgrid = CylinderGrid(0.0, t_len, m, eps)
+    cgrid = CylinderGrid(0.0, p["t_len"], p["m_steps"], p["eps"])
     base = solve_truncated_bvp(grid, cgrid, mats, nl, g, u0, opts=opts)
     w = variational_process(base, xi, mats, nl)
 
@@ -192,8 +161,7 @@ def _exp_frechet(config: ExperimentConfig, report: Report):
         table.add(delta, err)
 
     ratio = errs[0] / errs[1] if errs[1] > 0 else math.inf
-    lo = float(config.tolerances.get("ratio_lo", 5.0))
-    hi = float(config.tolerances.get("ratio_hi", 20.0))
+    lo, hi = config.tolerances["ratio_lo"], config.tolerances["ratio_hi"]
     summary = report.table("summary", ["ratio", "ratio_lo", "ratio_hi"])
     row = summary.add(ratio, lo, hi)
     report.verdict(
@@ -204,12 +172,10 @@ def _exp_frechet(config: ExperimentConfig, report: Report):
 
 def _exp_census(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    gbar = forcing_mean(_forcing_of(config, grid, mats.k))
-    p = config.params
-    seed_count = int(p.get("seed_count", 12))
-    lams = p.get("sweep_lambda")
+    gbar = forcing_mean(config.forcing)
+    seed_count, lams = config.params["seed_count"], config.params["sweep_lambda"]
     cells = [(None, nl)] if lams is None else [
-        (float(lam), cubic_nonlinearity(float(lam), mats.k)) for lam in lams
+        (lam, cubic_nonlinearity(lam, mats.k)) for lam in lams
     ]
     streams = np.random.SeedSequence(config.seed).spawn(len(cells))
 
@@ -221,21 +187,21 @@ def _exp_census(config: ExperimentConfig, report: Report):
 
     roots = report.table("equilibria", ["lam", "root", "l2", "index", "gap_nu", "hyperbolic"])
     census = report.table("census", ["lam", "count"])
-    expected_counts = config.tolerances.get("expected_counts")
-    expected_indices = config.tolerances.get("expected_indices")
+    expected_counts = config.tolerances["expected_counts"]
+    expected_indices = config.tolerances["expected_indices"]
     for i, ((lam, _), records) in enumerate(zip(cells, sweeps)):
         lam_val = lam if lam is not None else config.problem.nl_param
         for j, rec in enumerate(records):
             roots.add(lam_val, j, rec.z.l2(), rec.index, rec.gap_nu, int(rec.hyperbolic))
         row = census.add(lam_val, len(records))
         if expected_counts is not None:
-            want = int(expected_counts[i])
+            want = expected_counts[i]
             report.verdict(
                 f"count-lam-{lam_val:g}", len(records) == want, census, row,
                 f"found {len(records)} equilibria, expected {want}",
             )
         if expected_indices is not None:
-            want_idx = [int(v) for v in expected_indices[i]]
+            want_idx = expected_indices[i]
             got_idx = [rec.index for rec in records]
             report.verdict(
                 f"indices-lam-{lam_val:g}", got_idx == want_idx, census, row,
@@ -250,20 +216,16 @@ def _exp_census(config: ExperimentConfig, report: Report):
 
 def _exp_lyapunov(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     gbar = forcing_mean(g)
     p = config.params
-    n_traj = int(p.get("n_trajectories", 20))
-    t_end = float(p.get("t_end", 2.0))
-    dt = float(p.get("dt", 1e-3))
-    amp = float(p.get("amplitude", 1.0))
-    tol = float(config.tolerances.get("max_increase", 1e-8))
+    amp, tol = p["amplitude"], config.tolerances["max_increase"]
     starts = []
-    for stream in np.random.SeedSequence(config.seed).spawn(n_traj):
+    for stream in np.random.SeedSequence(config.seed).spawn(p["n_trajectories"]):
         rng = np.random.default_rng(stream)
         coeffs = amp * rng.standard_normal((4, mats.k)) / (1.0 + np.arange(4.0))[:, None] ** 2
         starts.append(sine_field(grid, coeffs, k=mats.k))
-    ensemble = semigroup_evolve(starts, t_end, StepOptions(dt=dt), mats, nl, g)
+    ensemble = semigroup_evolve(starts, p["t_end"], StepOptions(dt=p["dt"]), mats, nl, g)
     table = report.table("trajectories", ["trajectory", "l_start", "l_end", "max_increase"])
     for i in range(len(ensemble)):
         # the energy of the flow forced by +g carries -gbar
@@ -278,13 +240,9 @@ def _exp_lyapunov(config: ExperimentConfig, report: Report):
 
 def _exp_structure(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    gbar = forcing_mean(_forcing_of(config, grid, mats.k))
+    gbar = forcing_mean(config.forcing)
     p = config.params
-    radius = float(p.get("radius", 2e-4))
-    t_grow = float(p.get("t_grow", 18.0))
-    stride = float(p.get("stride", STRIDE_DEFAULTS["structure"]))
-    n_rays = int(p.get("n_rays", 16))
-    tol = float(config.tolerances.get("endpoint_tol", 1e-3))
+    radius, n_rays, tol = p["radius"], p["n_rays"], config.tolerances["endpoint_tol"]
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)
@@ -313,7 +271,7 @@ def _exp_structure(config: ExperimentConfig, report: Report):
 
     reps = []
     if seeds:
-        rays = lctx.evolve([Field(grid, v) for _, v in seeds], 0.0, t_grow, stride)
+        rays = lctx.evolve([Field(grid, v) for _, v in seeds], 0.0, p["t_grow"], p["stride"])
         reps = [heteroclinic_classify(rays.member(i), records, tol=tol) for i in range(len(rays))]
     table = report.table(
         "heteroclinics",
@@ -340,15 +298,12 @@ def _exp_structure(config: ExperimentConfig, report: Report):
 
 def _exp_delegation_gap(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    t_end = float(p.get("t_end", 2.0))
-    stride = float(p.get("stride", STRIDE_DEFAULTS["delegation-gap"]))
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.5)))
-    tol = float(config.tolerances.get("rel_gap", 1e-6))
+    t_end, u0, tol = p["t_end"], p["u0"], config.tolerances["rel_gap"]
 
     ctx = _context(config, grid, mats, nl, g, eps=0.0)
-    traj_e = ctx.evolve(u0, 0.0, t_end, stride)
+    traj_e = ctx.evolve(u0, 0.0, t_end, p["stride"])
     traj_p = semigroup_evolve(
         u0, t_end, StepOptions(dt=ctx.dt_target), mats, nl, -g
     )
@@ -370,17 +325,13 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
 
 
 def _exp_trajectory_rate(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    t_end = float(p.get("t_end", 3.0))
-    stride = float(p.get("stride", STRIDE_DEFAULTS["trajectory-rate"]))
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.full((1, mats.k), 0.4)))
     ctx = _context(config, grid, mats, nl, g, eps=0.0)
 
     def cell(eps):
-        series = trajectory_vs_limit(eps, g, u0, t_end, ctx, stride=stride)
+        series = trajectory_vs_limit(eps, g, p["u0"], p["t_end"], ctx, stride=p["stride"])
         return series.sup
 
     sups = _pmap(cell, [(e,) for e in config.eps_list])
@@ -392,8 +343,7 @@ def _exp_trajectory_rate(config: ExperimentConfig, report: Report):
     for eps, sup in zip(config.eps_list, sups):
         table.add(eps, sup)
 
-    slope_min = float(config.tolerances.get("slope_min", 0.45))
-    resid_max = float(config.tolerances.get("residual_max", 0.3))
+    slope_min, resid_max = config.tolerances["slope_min"], config.tolerances["residual_max"]
     summary = report.table("summary", ["slope", "intercept", "max_residual"])
     row = summary.add(fit.slope, fit.intercept, fit.max_residual)
     report.verdict(
@@ -407,17 +357,14 @@ def _exp_trajectory_rate(config: ExperimentConfig, report: Report):
 
 
 def _exp_periodic_orbit(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
-    p = config.params
-    t_track = float(p.get("t_track", 40.0))
-    resid_max = float(config.tolerances.get("residual_max", 1e-6))
+    g = config.forcing
+    t_track, resid_max = config.params["t_track"], config.tolerances["residual_max"]
     gbar = forcing_mean(-g)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)
-    ctx = _context(config, grid, mats, nl, g, eps=float(config.eps_list[0]))
+    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
 
     def cell(eps, rec):
         try:
@@ -426,7 +373,7 @@ def _exp_periodic_orbit(config: ExperimentConfig, report: Report):
         except LabError as exc:
             return f"failed: {type(exc).__name__}", math.inf, math.inf
 
-    cells = [(float(eps), rec) for eps in config.eps_list for rec in records]
+    cells = [(eps, rec) for eps in config.eps_list for rec in records]
     results = _pmap(cell, cells)
 
     table = report.table("tracking", ["eps", "root", "mode", "deviation", "residual"])
@@ -452,21 +399,6 @@ def _exp_periodic_orbit(config: ExperimentConfig, report: Report):
     )
 
 
-def _cloud_params(p: dict) -> CloudParams:
-    kwargs = {}
-    if "radius" in p:
-        kwargs["radius"] = float(p["radius"])
-    if "n_rays" in p:
-        kwargs["n_rays"] = int(p["n_rays"])
-    if "t_grow" in p:
-        kwargs["t_grow"] = float(p["t_grow"])
-    if "stride" in p:
-        kwargs["stride"] = float(p["stride"])
-    if "discard" in p:
-        kwargs["discard"] = float(p["discard"])
-    return CloudParams(**kwargs)
-
-
 def _distance_table(report: Report, rows, monotone: bool, fit: dict | None = None):
     """The distances table and its distance-monotone verdict; returns the
     table and the index of its last row."""
@@ -484,19 +416,19 @@ def _distance_table(report: Report, rows, monotone: bool, fit: dict | None = Non
 
 
 def _exp_distance_sweep(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
-    ctx = _context(config, grid, mats, nl, g, eps=float(config.eps_list[0]))
+    g = config.forcing
+    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
+    cloud = CloudParams(**{f.name: config.params[f.name] for f in fields(CloudParams)})
     sweep = attractor_distance_experiment(
-        config.eps_list, g, ctx, _cloud_params(config.params),
+        config.eps_list, g, ctx, cloud,
         rng=np.random.default_rng(np.random.SeedSequence(config.seed)),
     )
 
     fit = {"slope": sweep.fit.slope, "intercept": sweep.fit.intercept} if sweep.fit else None
     table, last = _distance_table(report, sweep.rows, sweep.monotone, fit)
 
-    final_tol = float(config.tolerances.get("final_dist", 5e-2))
+    final_tol = config.tolerances["final_dist"]
     final = sweep.rows[-1][1]
     report.verdict(
         "final-distance", final <= final_tol, table, last,
@@ -505,18 +437,17 @@ def _exp_distance_sweep(config: ExperimentConfig, report: Report):
 
 
 def _exp_attractor_mean(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    g = _forcing_of(config, grid, mats.k)
+    g = config.forcing
     p = config.params
-    ctx = _context(config, grid, mats, nl, g, eps=float(config.eps_list[0]))
+    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
     result = averaging_experiment(
         g,
         config.eps_list,
         ctx,
-        _cloud_params(p),
-        mean_tol=float(p.get("mean_tol", 1e-2)),
-        window0=float(p.get("window0", 32.0)),
+        CloudParams(**{f.name: p[f.name] for f in fields(CloudParams)}),
+        mean_tol=p["mean_tol"],
+        window0=p["window0"],
         rng=np.random.default_rng(np.random.SeedSequence(config.seed)),
     )
 
@@ -536,20 +467,18 @@ def _exp_attractor_mean(config: ExperimentConfig, report: Report):
 
 
 def _exp_solution_ratios(config: ExperimentConfig, report: Report):
-    _need_eps(config)
     grid, mats, nl = _geometry(config)
-    h_forcing = _forcing_of(config, grid, mats.k)
-    u0 = _profile_param(config, "u0", grid, mats.k, sine_field(grid, np.ones((1, mats.k))))
+    h_forcing = config.forcing
     ctx = _context(config, grid, mats, nl, h_forcing, eps=0.0)
 
-    rows = regularity_probe(config.eps_list, h_forcing, u0, ctx)
+    rows = regularity_probe(config.eps_list, h_forcing, config.params["u0"], ctx)
     table = report.table("ratios", ["eps", "rho"])
     for eps, rho in rows:
         table.add(eps, rho)
 
     rhos = [rho for _, rho in rows]
     spread = max(rhos) / min(rhos)
-    tol = float(config.tolerances.get("spread", 2.0))
+    tol = config.tolerances["spread"]
     summary = report.table("summary", ["spread"])
     row = summary.add(spread)
     report.verdict(
@@ -560,26 +489,20 @@ def _exp_solution_ratios(config: ExperimentConfig, report: Report):
 
 def _exp_symbol_bounds(config: ExperimentConfig, report: Report):
     p = config.params
-    pairs = p.get("pairs", [[1.0, 0.0]])
-    eps_grid = p.get("eps_grid", [0.0, 0.01, 0.1, 1.0])
-    n_xi = int(p.get("xi_points", 100))
-    lo_exp, hi_exp = p.get("xi_range", [-2.0, 3.0])
-    xi = np.logspace(float(lo_exp), float(hi_exp), n_xi)
-    z = 1.0 + xi**2
-    ratio_lo = float(config.tolerances.get("ratio_lo", 0.2))
-    ratio_hi = float(config.tolerances.get("ratio_hi", 5.0))
+    lo_exp, hi_exp = p["xi_range"]
+    z = 1.0 + np.logspace(lo_exp, hi_exp, p["xi_points"]) ** 2
+    ratio_lo, ratio_hi = config.tolerances["ratio_lo"], config.tolerances["ratio_hi"]
 
     table = report.table(
         "symbol", ["alpha", "beta", "eps", "min_re", "min_ratio", "max_ratio"]
     )
-    for alpha, beta in pairs:
-        for eps in eps_grid:
-            vals = np.array([symbol_A(zz, float(alpha), float(beta), float(eps)) for zz in z])
+    for alpha, beta in p["pairs"]:
+        for eps in p["eps_grid"]:
+            vals = np.array([symbol_A(zz, alpha, beta, eps) for zz in z])
             re = vals.real
-            ratio = z / (np.sqrt(1.0 + float(eps) ** 2 * z) * re)
+            ratio = z / (np.sqrt(1.0 + eps**2 * z) * re)
             row = table.add(
-                float(alpha), float(beta), float(eps),
-                float(re.min()), float(ratio.min()), float(ratio.max()),
+                alpha, beta, eps, float(re.min()), float(ratio.min()), float(ratio.max()),
             )
             ok = re.min() > 0.0 and ratio.min() >= ratio_lo and ratio.max() <= ratio_hi
             report.verdict(
@@ -590,9 +513,7 @@ def _exp_symbol_bounds(config: ExperimentConfig, report: Report):
 
 
 def _exp_synthetic_power_law(config: ExperimentConfig, report: Report):
-    p = config.params
-    eps = [float(v) for v in p["eps"]]
-    dists = [float(v) for v in p["distances"]]
+    eps, dists = config.params["eps"], config.params["distances"]
     fit = rate_fit(eps, dists)
     table = report.table(
         "data", ["eps", "distance"],
@@ -600,8 +521,7 @@ def _exp_synthetic_power_law(config: ExperimentConfig, report: Report):
     )
     for e, d in zip(eps, dists):
         table.add(e, d)
-    want = float(config.tolerances.get("slope", 0.5))
-    tol = float(config.tolerances.get("slope_tol", 0.05))
+    want, tol = config.tolerances["slope"], config.tolerances["slope_tol"]
     summary = report.table("summary", ["slope", "max_residual"])
     row = summary.add(fit.slope, fit.max_residual)
     report.verdict(
@@ -635,10 +555,10 @@ def run(config: ExperimentConfig, fixed_clock: bool = False) -> Report:
         "kind": config.kind,
         "experiment": config.experiment,
         "problem": config.raw["problem"],
-        "forcing": config.forcing,
+        "forcing": config.raw.get("forcing"),
         "eps_list": list(config.eps_list),
-        "params": config.params,
-        "tolerances": config.tolerances,
+        "params": config.raw.get("params", {}),
+        "tolerances": config.raw.get("tolerances", {}),
         "seed": config.seed,
         "margin": config.margin,
         "out_dir": config.out_dir,
@@ -646,7 +566,7 @@ def run(config: ExperimentConfig, fixed_clock: bool = False) -> Report:
     report = Report(experiment=echo)
     try:
         _EXPERIMENTS[config.experiment](config, report)
-    except Exception as exc:  # library errors and bad params values alike
+    except Exception as exc:  # library errors and any other failure alike
         message = str(exc)
         if isinstance(exc, NewtonDiverged) and exc.trace:
             tail = ", ".join(f"{v:.3e}" for v in exc.trace[-5:])

@@ -13,6 +13,7 @@ from cylinderlab import (
     NewtonDiverged,
     Report,
     SpatialGrid,
+    ValidationError,
     export_report,
     load_config,
     load_field,
@@ -271,27 +272,30 @@ def test_run_modal_decay_small(tmp_path):
     assert 0 < rel < 0.01
 
 
-def test_run_wraps_library_errors_as_failed_verdict(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text(json.dumps({
+def test_run_wraps_library_errors_as_failed_verdict(tmp_path, monkeypatch, capsys):
+    raw = {
         "version": 1,
         "kind": "solve-elliptic",
         "experiment": "modal-decay",
         "problem": {"length": math.pi, "n_interior": 16,
                     "nonlinearity": {"id": "zero"}},
         "out_dir": str(tmp_path / "out"),
-    }))
-    report = run(load_config(str(cfg_path)), fixed_clock=True)  # no eps_list
-    assert not report.all_pass
-    assert report.tables[0].name == "error"
-    assert report.verdicts[0].name == "completed"
-    assert "eps_list" in report.verdicts[0].detail
+    }
+    cfg_path = tmp_path / "broken.json"
+    cfg_path.write_text(json.dumps(raw))
+    # a missing eps_list is a config mistake, caught at load: exit 2, no report
+    with pytest.raises(ValidationError, match="eps_list: missing required key"):
+        load_config(str(cfg_path))
+    assert main([raw["kind"], "--config", str(cfg_path)]) == 2
+    assert "eps_list: missing required key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
-    # any other exception inside an experiment ends in the same failed
-    # verdict, naming the exception
+    # any exception inside an experiment ends in a failed verdict, naming
+    # the exception
     def broken(config, report):
         raise ValueError("broken experiment")
 
+    cfg_path.write_text(json.dumps({**raw, "eps_list": [0.1]}))
     monkeypatch.setitem(runner._EXPERIMENTS, "modal-decay", broken)
     report = run(load_config(str(cfg_path)), fixed_clock=True)
     assert [v.name for v in report.verdicts] == ["completed"]
@@ -331,23 +335,34 @@ def test_run_keeps_the_tail_of_a_newton_trace(tmp_path, monkeypatch):
     assert report.verdicts[0].detail == message
 
 
+# (config, params update, tolerances update, message)
 BAD_SCALAR_PARAMS = (
-    ("demo-solve", {"m_steps": 1}, "params.m_steps: must be >= 2"),
-    ("demo-solve", {"t_len": "two"}, "params.t_len: expected a number"),
-    ("c07-trajectory-rate", {"stride": 0.3}, "params.stride: must divide one time unit"),
-    ("c02-modal-decay", {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
-    ("c07-trajectory-rate", {"t_end": 2.1}, "params.t_end: must be a multiple of stride 0.125"),
+    ("demo-solve", {"m_steps": 1}, {}, "params.m_steps: must be >= 2"),
+    ("demo-solve", {"t_len": "two"}, {}, "params.t_len: expected a number"),
+    ("c07-trajectory-rate", {"stride": 0.3}, {}, "params.stride: must divide one time unit"),
+    ("c02-modal-decay", {"t_check": 5.0}, {}, "params.t_check: must not exceed t_len 2"),
+    ("c07-trajectory-rate", {"t_end": 2.1}, {},
+     "params.t_end: must be a multiple of stride 0.125"),
     # list-valued keys: each of these used to load and end as a failed
     # "completed" verdict with exit 1
-    ("c03-frechet", {"deltas": [0.001]}, "params.deltas: expected a list of at least 2 numbers"),
-    ("c12-symbol-bounds", {"xi_range": [1.0]}, "params.xi_range: expected a list of at least 2"),
-    ("c12-symbol-bounds", {"eps_grid": "abc"}, "params.eps_grid: expected a nonempty list"),
+    ("c03-frechet", {"deltas": [0.001]}, {},
+     "params.deltas: expected a list of at least 2 numbers"),
+    ("c12-symbol-bounds", {"xi_range": [1.0]}, {},
+     "params.xi_range: expected a list of at least 2"),
+    ("c12-symbol-bounds", {"eps_grid": "abc"}, {}, "params.eps_grid: expected a nonempty list"),
     # profiles and the synthetic-power-law lists: these too used to end as a
     # failed verdict with exit 1
-    ("demo-solve", {"u0": "abc"}, "params.u0: expected an object, got str"),
-    ("c03-frechet", {"xi": {"kind": "sine", "coeffs": "x"}}, "params.xi.coeffs: expected a"),
-    ("synthetic", {"distances": [0.3]}, "params.distances: expected a list of at least 3 numbers"),
-    ("synthetic", {"distances": [0.3, 0.2, 0.1, 0.05]}, "params.distances: expected 3 distances"),
+    ("demo-solve", {"u0": "abc"}, {}, "params.u0: expected an object, got str"),
+    ("c03-frechet", {"xi": {"kind": "sine", "coeffs": "x"}}, {}, "params.xi.coeffs: expected a"),
+    ("synthetic", {"distances": [0.3]}, {},
+     "params.distances: expected a list of at least 3 numbers"),
+    ("synthetic", {"distances": [0.3, 0.2, 0.1, 0.05]}, {},
+     "params.distances: expected 3 distances"),
+    # tolerances: a string used to end in a ValueError with exit 1, and a
+    # short expected_counts ran the first cell, then ended in an IndexError
+    ("c02-modal-decay", {}, {"rel_err": "abc"}, "tolerances.rel_err: expected a number"),
+    ("c04-census", {}, {"expected_counts": [1]},
+     "tolerances.expected_counts: expected one entry per sweep cell (3)"),
 )
 SYNTHETIC = {
     "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
@@ -357,22 +372,36 @@ SYNTHETIC = {
 
 
 @pytest.mark.parametrize(
-    "name,params,message", BAD_SCALAR_PARAMS,
+    "name,params,tolerances,message", BAD_SCALAR_PARAMS,
     ids=["m_steps", "t_len", "stride", "t_check", "t_end", "deltas", "xi_range", "eps_grid",
-         "u0", "xi", "distances", "distances_length"],
+         "u0", "xi", "distances", "distances_length", "rel_err", "expected_counts"],
 )
-def test_bad_scalar_params_exit_2(tmp_path, configs_dir, capsys, name, params, message):
+def test_bad_scalar_params_exit_2(
+    tmp_path, configs_dir, capsys, name, params, tolerances, message
+):
     if name == "synthetic":
         raw = json.loads(json.dumps(SYNTHETIC))
     else:
         raw = json.loads((configs_dir / f"{name}.json").read_text())
     raw["params"].update(params)
+    raw.setdefault("tolerances", {}).update(tolerances)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(raw))
     code = main([raw["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["demo-solve", "c04-census"])
+def test_report_echoes_the_config_as_written(configs_dir, monkeypatch, name):
+    # the experiments read resolved values and parsed profiles; the echo
+    # keeps what the file wrote, ints, defaults left out and all
+    raw = json.loads((configs_dir / f"{name}.json").read_text())
+    monkeypatch.setitem(runner._EXPERIMENTS, raw["experiment"], lambda config, report: None)
+    echo = run(load_config(str(configs_dir / f"{name}.json")), fixed_clock=True).experiment
+    for key, absent in (("params", {}), ("tolerances", {}), ("forcing", None)):
+        assert json.dumps(echo[key]) == json.dumps(raw.get(key, absent)), key
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylinderlab import ParseError, ValidationError, load_config, rate_fit
-from cylinderlab.config import parse_forcing, parse_profile
+from cylinderlab.config import EXPERIMENTS, SCHEMAS, parse_forcing, parse_profile
 from cylinderlab.forcing import Forcing
-from cylinderlab.model import SpatialGrid
+from cylinderlab.model import Field, SpatialGrid
 
 
 def minimal(**overrides):
@@ -44,11 +44,14 @@ def test_minimal_roundtrip_and_defaults(tmp_path):
     cfg = load_config(write(tmp_path, minimal()))
     assert cfg.kind == "equilibria" and cfg.experiment == "census"
     assert cfg.eps_list == ()
-    assert cfg.params == {} and cfg.tolerances == {}
+    assert cfg.params == {"seed_count": 12, "sweep_lambda": None}
+    assert cfg.tolerances == {"expected_counts": None, "expected_indices": None}
     assert cfg.out_dir == "lab-out"
     assert cfg.seed == 0
     assert cfg.margin is None
-    assert cfg.forcing is None
+    # no forcing block: the zero forcing
+    assert isinstance(cfg.forcing, Forcing) and cfg.forcing.period == 0.0
+    assert not cfg.forcing.profiles.any()
     grid = cfg.problem.grid()
     assert isinstance(grid, SpatialGrid) and grid.n_interior == 16
     mats = cfg.problem.matrices()
@@ -83,7 +86,7 @@ def test_full_config_roundtrip(tmp_path):
     assert cfg.params["radius"] == 0.25
     assert cfg.tolerances["final_dist"] == 0.05
     assert cfg.out_dir == "out/sweep" and cfg.seed == 11 and cfg.margin == 3.0
-    g = parse_forcing(cfg.forcing, cfg.problem.grid(), cfg.problem.k)
+    g = cfg.forcing
     # omega 1.0: the period is 2 pi, and sin(omega t) reaches 1 at t = pi/2
     assert isinstance(g, Forcing) and g.period == 2.0 * math.pi
     np.testing.assert_array_equal(g.window([math.pi / 2])[0], g.profiles[0] + g.profiles[1])
@@ -106,38 +109,97 @@ SHIPPED["synthetic"] = {
     "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
     "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
 }
-# what a mutated params value becomes; None drops the key
+# what a mutated params, tolerances or eps_list value becomes; None drops
+# the key
 MUTANTS = (
-    None, "abc", -1, -0.5, [], [[0.5, -1.0]], [[]], [0.3, 0.2, 0.1, 0.05],
-    {"kind": "sine", "coeffs": "x"}, {"kind": "uniform", "value": [1.0, 2.0]},
+    None, "abc", -1, -0.5, 0.5, [], [1], [[0.5, -1.0]], [[]], [0.3, 0.2, 0.1, 0.05],
+    {"kind": "sine", "coeffs": "x"}, {"kind": "uniform", "value": [1.0, 2.0]}, {"kind": ["sine"]},
 )
+
+# the type each key resolves to: float unless named here, and a list stands
+# for a list of its one entry's type
+RESOLVED_TYPES = {
+    "m_steps": int, "n_trajectories": int, "seed_count": int, "n_rays": int, "xi_points": int,
+    "u0": Field, "xi": Field, "pairs": [[float]],
+    "deltas": [float], "sweep_lambda": [float], "distances": [float], "eps_grid": [float],
+    "xi_range": [float], "expected_counts": [int], "expected_indices": [[int]],
+}
+
+
+def has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
+    return type(value) is kind
+
+
+def assert_resolved(cfg):
+    """Every key the experiment reads is present, with its resolved type."""
+    schema = SCHEMAS[cfg.experiment]
+    for section, keys in (("params", schema.params), ("tolerances", schema.tolerances)):
+        resolved, written = getattr(cfg, section), cfg.raw.get(section, {})
+        assert resolved.keys() == keys.keys()
+        for key, value in resolved.items():
+            if value is None:  # left for the experiment or the library to size
+                assert key not in written and keys[key][1] is None
+                continue
+            kind = RESOLVED_TYPES.get(key, float)
+            if cfg.experiment == "synthetic-power-law" and key == "eps":
+                kind = [float]
+            assert has_type(value, kind), (section, key, value)
+    assert all(type(e) is float for e in cfg.eps_list)
+    assert len(cfg.eps_list) >= schema.eps_list and (schema.eps_list or not cfg.eps_list)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
-    name = data.draw(st.sampled_from(sorted(n for n, raw in SHIPPED.items() if raw.get("params"))))
-    raw = json.loads(json.dumps(SHIPPED[name]))
-    params = raw["params"]
-    for key in data.draw(st.lists(st.sampled_from(sorted(params)), min_size=1, max_size=3)):
+    raw = json.loads(json.dumps(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]))
+    schema = SCHEMAS[raw["experiment"]]
+    targets = [("params", key) for key in schema.params]
+    targets += [("tolerances", key) for key in schema.tolerances] + [(None, "eps_list")]
+    for section, key in data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3)):
+        obj = raw if section is None else raw.setdefault(section, {})
         value = data.draw(st.sampled_from(MUTANTS))
         if value is None:
-            params.pop(key, None)
+            obj.pop(key, None)
         else:
-            params[key] = value
+            obj[key] = value
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(raw))
     try:
         cfg = load_config(str(path))
     except (ParseError, ValidationError):
         return
-    # what loads, the experiments can read: the profiles parse and the
+    # what loads, the experiments can read: every key resolved, and the
     # synthetic lists fit
-    for key in ("u0", "xi"):
-        if key in cfg.params:
-            parse_profile(cfg.params[key], cfg.problem.grid(), cfg.problem.k)
+    assert_resolved(cfg)
     if cfg.experiment == "synthetic-power-law":
         rate_fit(cfg.params["eps"], cfg.params["distances"])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_default_passes_its_check(tmp_path, k):
+    # a config that writes no params or tolerances takes every default: each
+    # passes its own check and the rules across keys (t_check <= t_len, spans
+    # a multiple of stride), and resolves to the table's value
+    for experiment, schema in SCHEMAS.items():
+        kind = next(kind for kind, variants in EXPERIMENTS.items() if experiment in variants)
+        obj = minimal(kind=kind, experiment=experiment)
+        obj["problem"]["k"] = k
+        if schema.eps_list:
+            obj["eps_list"] = [0.4, 0.2, 0.1]
+        if experiment == "synthetic-power-law":  # the only keys without a default
+            obj["params"] = {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]}
+        cfg = load_config(write(tmp_path, obj))
+        assert_resolved(cfg)
+        for section, keys in (("params", schema.params), ("tolerances", schema.tolerances)):
+            for key, (_, default) in keys.items():
+                got = getattr(cfg, section)[key]
+                if callable(default):  # a profile
+                    want = parse_profile(default(k), cfg.problem.grid(), k)
+                    np.testing.assert_array_equal(got.values, want.values)
+                elif key not in obj.get("params", {}):
+                    assert got == default, (experiment, key)
 
 
 def test_unknown_top_level_key(tmp_path):
@@ -160,12 +222,21 @@ def test_unknown_kind_and_experiment_pairing(tmp_path):
 
 
 def test_eps_list_validation(tmp_path):
-    fails_with(tmp_path, minimal(eps_list=[]), "eps_list: expected a nonempty list")
-    fails_with(tmp_path, minimal(eps_list=[0.1, 0.2]), "strictly descending")
-    fails_with(tmp_path, minimal(eps_list=[0.2, 0.2]), "strictly descending")
-    fails_with(tmp_path, minimal(eps_list=[2.0, 0.5]), "eps_list[0]: exceeds the anisotropy cap 1.0")
-    fails_with(tmp_path, minimal(eps_list=[0.2, -0.1]), "eps_list[1]: must be >= 0")
-    fails_with(tmp_path, minimal(eps_list=[0.2, "x"]), "eps_list[1]: expected a number")
+    modal = {"kind": "solve-elliptic", "experiment": "modal-decay"}
+    fails_with(tmp_path, minimal(**modal, eps_list=[]), "eps_list: expected a nonempty list")
+    fails_with(tmp_path, minimal(**modal, eps_list=[0.1, 0.2]), "strictly descending")
+    fails_with(tmp_path, minimal(**modal, eps_list=[0.2, 0.2]), "strictly descending")
+    fails_with(tmp_path, minimal(**modal, eps_list=[2.0, 0.5]),
+               "eps_list[0]: exceeds the anisotropy cap 1.0")
+    fails_with(tmp_path, minimal(**modal, eps_list=[0.2, -0.1]), "eps_list[1]: must be >= 0")
+    fails_with(tmp_path, minimal(**modal, eps_list=[0.2, "x"]), "eps_list[1]: expected a number")
+    # required by the experiments that read it, rejected by the others
+    fails_with(tmp_path, minimal(**modal), "eps_list: missing required key")
+    fails_with(tmp_path, minimal(eps_list=[0.5]), "eps_list: not used by experiment 'census'")
+    # the trajectory rate fits a line through at least three points
+    traj = minimal(kind="converge", experiment="trajectory-rate", eps_list=[0.4, 0.2])
+    fails_with(tmp_path, traj, "eps_list: expected a list of at least 3 numbers")
+    assert load_config(write(tmp_path, minimal(**modal, eps_list=[1, 0.5]))).eps_list == (1.0, 0.5)
 
 
 def test_problem_validation_paths(tmp_path):
@@ -207,6 +278,11 @@ def test_forcing_validation_paths(tmp_path):
     base = minimal()
     base["forcing"] = {"type": "oscillating"}
     fails_with(tmp_path, base, "forcing.type: unknown forcing type 'oscillating'")
+    # an unhashable type or profile kind is a bad value too, not a TypeError
+    base["forcing"] = {"type": ["constant"], "mean": {"kind": "zero"}}
+    fails_with(tmp_path, base, "forcing.type: unknown forcing type ['constant']")
+    base["forcing"] = {"type": "constant", "mean": {"kind": ["zero"]}}
+    fails_with(tmp_path, base, "forcing.mean.kind: unknown profile kind ['zero']")
 
     base["forcing"] = {"type": "periodic", "mean": {"kind": "zero"}, "omega": 1.0}
     fails_with(tmp_path, base, "forcing.osc: missing required key")
@@ -261,7 +337,7 @@ def test_param_and_tolerance_keys_checked_per_experiment(tmp_path):
 
 def test_scalar_params_type_and_range(tmp_path):
     solve = {"kind": "solve-elliptic", "experiment": "solve"}
-    traj = {"kind": "converge", "experiment": "trajectory-rate"}
+    traj = {"kind": "converge", "experiment": "trajectory-rate", "eps_list": [0.4, 0.2, 0.1]}
     for base, params, fragment in (
         (solve, {"m_steps": 1}, "params.m_steps: must be >= 2"),
         (solve, {"m_steps": 10.0}, "params.m_steps: expected an integer"),
@@ -287,9 +363,9 @@ def test_scalar_params_type_and_range(tmp_path):
 
 
 def test_params_rules_across_keys(tmp_path):
-    modal = {"kind": "solve-elliptic", "experiment": "modal-decay"}
-    traj = {"kind": "converge", "experiment": "trajectory-rate"}
-    sweep = {"kind": "attractor", "experiment": "distance-sweep"}
+    modal = {"kind": "solve-elliptic", "experiment": "modal-decay", "eps_list": [0.1]}
+    traj = {"kind": "converge", "experiment": "trajectory-rate", "eps_list": [0.4, 0.2, 0.1]}
+    sweep = {"kind": "attractor", "experiment": "distance-sweep", "eps_list": [0.1]}
     for base, params, fragment in (
         # t_check is read against the default t_len 2 when t_len is absent
         (modal, {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
@@ -306,7 +382,8 @@ def test_params_rules_across_keys(tmp_path):
         (traj, {"t_end": 2.125}),
         (sweep, {"t_grow": 2.5}),
     ):
-        assert load_config(write(tmp_path, minimal(**base, params=params))).params == params
+        resolved = load_config(write(tmp_path, minimal(**base, params=params))).params
+        assert {key: resolved[key] for key in params} == params
 
 
 def test_list_params_checked_at_load(tmp_path):
@@ -334,7 +411,30 @@ def test_list_params_checked_at_load(tmp_path):
         ({}, {"sweep_lambda": [-1.0, 2.0]}),
         (symbol, {"pairs": [[0.5, -0.3]], "eps_grid": [0.0, 1.0], "xi_range": [-2, 3]}),
     ):
-        assert load_config(write(tmp_path, minimal(**base, params=params))).params == params
+        resolved = load_config(write(tmp_path, minimal(**base, params=params))).params
+        assert {key: resolved[key] for key in params} == params
+
+
+def test_tolerances_checked_at_load(tmp_path):
+    modal = {"kind": "solve-elliptic", "experiment": "modal-decay", "eps_list": [0.1]}
+    sweep = {"params": {"sweep_lambda": [0.5, 2.0]}}
+    for base, tolerances, fragment in (
+        (modal, {"rel_err": "abc"}, "tolerances.rel_err: expected a number"),
+        (modal, {"rel_err": 0.0}, "tolerances.rel_err: must be > 0"),
+        (modal, {"rel_err": [0.01]}, "tolerances.rel_err: expected a number"),
+        ({}, {"expected_counts": 3}, "tolerances.expected_counts: expected a nonempty list"),
+        ({}, {"expected_counts": [1.5]}, "tolerances.expected_counts[0]: expected an integer"),
+        ({}, {"expected_counts": [-1]}, "tolerances.expected_counts[0]: must be >= 0"),
+        ({}, {"expected_indices": [0]}, "tolerances.expected_indices[0]: expected a list"),
+        ({}, {"expected_indices": [[0, "1"]]}, "tolerances.expected_indices[0][1]: expected an"),
+        # one entry per sweep cell: len(sweep_lambda), or the one cell without it
+        ({}, {"expected_counts": [1, 3]}, "tolerances.expected_counts: expected one entry per"),
+        (sweep, {"expected_counts": [1]}, "expected_counts: expected one entry per sweep cell (2)"),
+        (sweep, {"expected_indices": [[0]]}, "tolerances.expected_indices: expected one entry"),
+    ):
+        fails_with(tmp_path, minimal(**base, tolerances=tolerances), fragment)
+    ok = minimal(**sweep, tolerances={"expected_counts": [1, 3], "expected_indices": [[], [1, 0]]})
+    assert load_config(write(tmp_path, ok)).tolerances["expected_indices"] == [[], [1, 0]]
 
 
 def test_seed_out_dir_margin_rules(tmp_path):
@@ -344,10 +444,12 @@ def test_seed_out_dir_margin_rules(tmp_path):
     fails_with(tmp_path, minimal(margin=0.0), "margin: must be > 0")
     # census runs no truncated solves, so a margin there is a config mistake
     fails_with(tmp_path, minimal(margin=4.0), "margin: not used by experiment 'census'")
-    ok = minimal(kind="converge", experiment="trajectory-rate", margin=4.0)
+    ok = minimal(kind="converge", experiment="trajectory-rate", eps_list=[0.4, 0.2, 0.1],
+                 margin=4.0)
     assert load_config(write(tmp_path, ok)).margin == 4.0
     # solution-ratios solves truncated cylinders; the elliptic solve does not read a margin
-    ok = minimal(kind="regularity-probe", experiment="solution-ratios", margin=3.0)
+    ok = minimal(kind="regularity-probe", experiment="solution-ratios", eps_list=[0.1],
+                 margin=3.0)
     assert load_config(write(tmp_path, ok)).margin == 3.0
     bad = minimal(kind="solve-elliptic", experiment="solve", margin=3.0)
     fails_with(tmp_path, bad, "margin: not used by experiment 'solve'")
