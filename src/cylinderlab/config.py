@@ -134,8 +134,8 @@ def _integer(obj, path: str, minimum=None) -> int:
     return obj
 
 
-def _eps(obj, path: str, problem=None) -> float:
-    v = _number(obj, path, nonnegative=True)
+def _eps(obj, path: str, problem=None, positive=False) -> float:
+    v = _number(obj, path, positive=positive, nonnegative=True)
     if v > EPS_MAX:
         _fail(path, f"exceeds the anisotropy cap {EPS_MAX}")
     return v
@@ -369,11 +369,14 @@ class Schema(NamedTuple):
     file (a function of k for a profile); None leaves it None for the
     experiment or the library to size, and _REQUIRED makes the key
     required.  eps_list is the fewest entries the experiment needs (0 when
-    it reads none), margin whether it reads the far-boundary margin."""
+    it reads none), eps_positive whether each entry must be > 0 (the
+    experiments that compare eps > 0 against the limit cannot run eps = 0),
+    margin whether it reads the far-boundary margin."""
 
     params: dict
     tolerances: dict
     eps_list: int = 0
+    eps_positive: bool = False
     margin: bool = False
     rules: tuple = ()
 
@@ -422,10 +425,11 @@ SCHEMAS = {
     "trajectory-rate": Schema(  # rate_fit needs three eps
         {"t_end": (_POS, 3.0), "stride": (_stride, 0.125), "u0": (_profile, _sine(0.4))},
         {"slope_min": (_real(), 0.45), "residual_max": (_NONNEG, 0.3)},
-        eps_list=3, margin=True, rules=(_spans_fit_stride,),
+        eps_list=3, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
     ),
     "periodic-orbit": Schema(
-        {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)}, eps_list=1, margin=True,
+        {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)},
+        eps_list=1, eps_positive=True, margin=True,
     ),
     "synthetic-power-law": Schema(
         {"eps": (_reals(3, positive=True), _REQUIRED),
@@ -441,11 +445,11 @@ SCHEMAS = {
     ),
     "distance-sweep": Schema(
         _CLOUD_KEYS, {"final_dist": (_NONNEG, 5e-2)},
-        eps_list=1, margin=True, rules=(_spans_fit_stride,),
+        eps_list=1, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
     ),
     "attractor-mean": Schema(
         {**_CLOUD_KEYS, "window0": (_POS, 32.0), "mean_tol": (_POS, 1e-2)}, {},
-        eps_list=1, margin=True, rules=(_spans_fit_stride,),
+        eps_list=1, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
     ),
     "solution-ratios": Schema(
         {"u0": (_profile, _sine(1.0))}, {"spread": (_POS, 2.0)}, eps_list=1, margin=True,
@@ -523,7 +527,9 @@ def load_config(path: str) -> ExperimentConfig:
         if not schema.eps_list:
             _fail("eps_list", f"not used by experiment {experiment!r}")
         seq = _list(raw["eps_list"], "eps_list", schema.eps_list, "numbers")
-        eps_list = tuple(_eps(v, f"eps_list[{i}]") for i, v in enumerate(seq))
+        eps_list = tuple(
+            _eps(v, f"eps_list[{i}]", positive=schema.eps_positive) for i, v in enumerate(seq)
+        )
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             _fail("eps_list", "must be sorted in strictly descending order")
     elif schema.eps_list:

@@ -4,8 +4,9 @@ eps-convergence experiments built on the two solvers.
 Sign conventions: equilibria solve a z_xx - f(z) + gbar = 0 where gbar is
 the forcing of the limit parabolic equation.  Experiments that compare the
 perturbed process against the limit flow receive the forcing in the
-elliptic convention (right-hand side g) and flip its sign internally when
-they build the limit context, so both sides integrate the same equation.
+elliptic convention (right-hand side g); the limit flow is the
+ProcessContext at eps = 0, which flips the sign itself, so both sides
+integrate the same equation.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ import scipy.linalg
 from scipy.optimize import NoConvergence, newton_krylov
 from scipy.spatial.distance import cdist
 
-from .elliptic import (
-    ProcessContext,
-    _limit_context,
-    _window_grid,
-    solve_truncated_bvp,
-)
+from .elliptic import ProcessContext, _window_grid
 from .errors import (
     AverageNotConverged,
     EigenFailure,
@@ -36,17 +32,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .forcing import Constant, FastScaled, Forcing, forcing_mean, time_average
-from .model import CouplingMatrices, CylinderGrid, Field, Nonlinearity, Trajectory, sine_field
+from .model import CouplingMatrices, Field, Nonlinearity, Trajectory, sine_field
 from .newton import NewtonOptions, damped_newton
-from .parabolic import LimitContext, _BandedStepper
+from .parabolic import _BandedStepper
 
 # hyperbolicity threshold on the discrete spectrum: the continuum-degenerate
 # Chafee-Infante cases discretize their zero eigenvalue to ~5e-5 at 128
 # nodes, so the gate sits above that and below every regular gap used here
 NU_MIN = 1e-4
 DEDUP_TOL = 1e-4
-
-Context = ProcessContext | LimitContext
 
 
 @dataclass(frozen=True)
@@ -317,19 +311,6 @@ def _ray_starts(
     return [Field(grid, z.values + seed) for seed in seeds]
 
 
-def _evolve_all(
-    context: Context, starts: list[Field], t_grow: float, stride: float
-) -> list[Trajectory]:
-    """Forward trajectories of starts: one ensemble on the limit semigroup,
-    one process run per start at eps > 0."""
-    if not isinstance(context, LimitContext):
-        return [context.evolve(u, 0.0, t_grow, stride) for u in starts]
-    if not starts:
-        return []
-    ensemble = context.evolve(starts, 0.0, t_grow, stride)
-    return [ensemble.member(i) for i in range(len(ensemble))]
-
-
 def _slices(trajs: list[Trajectory], discard: float) -> list[Field]:
     return [
         traj.field(j)
@@ -350,14 +331,16 @@ def _sphere_directions(d: int, count: int) -> np.ndarray:
 
 
 def sample_attractor(
-    context: Context, equilibria: list[EquilibriumRecord], params: CloudParams = CloudParams()
+    context: ProcessContext,
+    equilibria: list[EquilibriumRecord],
+    params: CloudParams = CloudParams(),
 ) -> PointCloud:
     """Attractor portrait: union of manifold clouds over all equilibria.
 
-    Works for the limit semigroup and for the eps-process alike; eigenray
-    seeds start within O(radius + eps) of the attractor, so slices count
-    from t = 0 unless params.discard trims them.  On the limit semigroup
-    the rays of all equilibria evolve as one ensemble.
+    Works for the limit semigroup (eps = 0) and for the eps-process alike;
+    eigenray seeds start within O(radius + eps) of the attractor, so slices
+    count from t = 0 unless params.discard trims them.  The rays of all
+    equilibria evolve as one ensemble.
     """
     if not equilibria:
         raise EmptyCloud("no equilibria to seed the attractor from")
@@ -368,11 +351,15 @@ def sample_attractor(
         if radius is None:
             radius = 1e-3 * rec.z.l2() + 1e-3
         starts.append(_ray_starts(rec, split, radius, params.n_rays, params.stride))
-    trajs = iter(_evolve_all(context, sum(starts, []), params.t_grow, params.stride))
+    rays = sum(starts, [])
+    members = iter(())
+    if rays:
+        ensemble = context.evolve(rays, 0.0, params.t_grow, params.stride)
+        members = (ensemble.member(i) for i in range(len(ensemble)))
     points = []
-    for rec, rays in zip(equilibria, starts):
+    for rec, seeds in zip(equilibria, starts):
         points.append(rec.z)
-        points.extend(_slices([next(trajs) for _ in rays], params.discard))
+        points.extend(_slices([next(members) for _ in seeds], params.discard))
     meta = {
         "source": "attractor",
         "eps": context.eps,
@@ -560,19 +547,11 @@ def track_periodic_solution(
         return PeriodicTrack("bounded-tracking", traj, None, float(devs.max()), rec_gap)
 
     p_eff = period if period > 0 else 1.0
-    dt, span, margin_steps = _window_grid(p_eff, ectx)
-    if eps > 0:
-        m = span + margin_steps
-        cgrid = CylinderGrid(0.0, m * dt, m, eps)
-    else:
-        cgrid = CylinderGrid(0.0, p_eff, span, 0.0)
+    dt, span = _window_grid(p_eff, ectx)
     state = {"guess": None}
 
     def period_map_values(u_vals: np.ndarray) -> np.ndarray:
-        sol = solve_truncated_bvp(
-            grid, cgrid, ectx.mats, ectx.nl, ectx.forcing, Field(grid, u_vals),
-            far=ectx.far, opts=ectx.opts, guess=state["guess"],
-        )
+        sol = ectx._window(Field(grid, u_vals), 0.0, dt, span, state["guess"])
         state["guess"] = sol.values
         return sol.values[span]
 
@@ -590,12 +569,9 @@ def track_periodic_solution(
     u_star = u_star.reshape(grid.n_interior, k)
     fixed = Field(grid, u_star)
 
-    final = solve_truncated_bvp(
-        grid, cgrid, ectx.mats, ectx.nl, ectx.forcing, fixed,
-        far=ectx.far, opts=ectx.opts, guess=state["guess"],
-    )
+    final = ectx._window(fixed, 0.0, dt, span, state["guess"])
     orbit_vals = final.values[: span + 1]
-    orbit = Trajectory(grid, cgrid.times[: span + 1], orbit_vals)
+    orbit = Trajectory(grid, final.cgrid.times[: span + 1], orbit_vals)
     residual = Field(grid, orbit_vals[-1] - u_star).l2()
     if residual > 1e-6:
         raise FixedPointDiverged(f"period map defect {residual:.3e} above 1e-6")
@@ -632,9 +608,9 @@ def _eps_context(context: ProcessContext, g: Forcing, eps: float) -> ProcessCont
     return replace(ectx, dt=min(ectx.dt_target, g.scale / 10.0))
 
 
-def _mean_limit(context: ProcessContext, gbar: Field) -> LimitContext:
+def _mean_limit(context: ProcessContext, gbar: Field) -> ProcessContext:
     """Limit flow of the process driven by the mean gbar (elliptic convention)."""
-    return _limit_context(replace(context, eps=0.0, forcing=Constant(gbar), dt=None))
+    return replace(context, eps=0.0, forcing=Constant(gbar), dt=None)
 
 
 def _sweep_against_limit(

@@ -22,10 +22,10 @@ they are built once per shape, cached and shared read-only, so a window
 builds only its right-hand side.
 
 At eps = 0 the time-second-derivative block vanishes and the problem is an
-initial-value problem; every eps = 0 call goes through the parabolic
-LimitContext built by _limit_context (with the forcing sign flipped: the
-elliptic convention puts g on the right-hand side, the parabolic one adds
-it).
+initial-value problem: every eps = 0 call runs the parabolic
+semigroup_evolve on -g (the elliptic convention puts g on the right-hand
+side, the parabolic one adds it), so one ProcessContext models the whole
+family eps >= 0.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,7 @@ from .model import (
     CouplingMatrices,
     CylinderField,
     CylinderGrid,
+    Ensemble,
     Field,
     Nonlinearity,
     SpatialGrid,
@@ -55,7 +57,7 @@ from .model import (
     zero_nonlinearity,
 )
 from .newton import NewtonOptions, damped_newton
-from .parabolic import LimitContext, StepOptions, variational_evolve
+from .parabolic import StepOptions, _initial_stack, semigroup_evolve, variational_evolve
 
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
@@ -412,12 +414,11 @@ def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _window_grid(span: float, context: ProcessContext) -> tuple[float, int, int]:
-    """(dt, span steps, margin steps): the largest dt <= the context's
-    dt_target that divides span, the whole steps covering span, and the
-    context's far margin at that dt."""
+def _window_grid(span: float, context: ProcessContext) -> tuple[float, int]:
+    """(dt, steps): the largest dt <= the context's dt_target that divides
+    span, and the whole steps covering span."""
     dt = span / math.ceil(span / context.dt_target - 1e-12)
-    return dt, int(round(span / dt)), context.margin_steps(dt)
+    return dt, int(round(span / dt))
 
 
 def solve_truncated_bvp(
@@ -439,8 +440,8 @@ def solve_truncated_bvp(
     """
     opts = opts or NewtonOptions()
     if cgrid.eps == 0.0:
-        limit = _limit_context(ProcessContext(sgrid, mats, nl, g, 0.0, opts=opts, dt=cgrid.dt))
-        traj = limit.evolve(u_tau, cgrid.tau, cgrid.t_len, cgrid.dt)
+        step = StepOptions(cgrid.dt, opts)
+        traj = semigroup_evolve(u_tau, cgrid.t_len, step, mats, nl, -g, tau=cgrid.tau)
         return CylinderField(sgrid, cgrid, traj.values)
     system = _SpaceTimeSystem(sgrid, cgrid, mats, nl, g, u_tau, far)
     if guess is None:
@@ -465,10 +466,10 @@ def solve_truncated_bvp(
 
 @dataclass(frozen=True)
 class ProcessContext:
-    """Everything a solving-process evaluation needs besides the data slice.
-
-    Duck-typed with the parabolic LimitContext: map/evolve have the same
-    signatures so the dynamics layer runs both.
+    """Everything a solving-process evaluation needs besides the data slice,
+    for every eps >= 0: at eps = 0 map and evolve run the limit semigroup
+    driven by -forcing, so the dynamics layer treats the limit flow as one
+    more process.
     """
 
     sgrid: SpatialGrid
@@ -529,14 +530,17 @@ class ProcessContext:
     def map(self, u0: Field, tau: float, t: float) -> Field:
         return process_map(u0, tau, t, self)
 
-    def evolve(self, u0: Field, tau: float, t_end: float, stride: float) -> Trajectory:
-        """March in windows of at most one time unit, harvesting slices every
-        stride time units.
+    def evolve(
+        self, u0: Field | Sequence[Field], tau: float, t_end: float, stride: float
+    ) -> Trajectory | Ensemble:
+        """Slices every stride time units from tau to tau + t_end.
 
-        Each window after the first starts Newton from the previous solution
-        shifted by one window, cut or extended by its last slice to the new
-        window's length; this keeps Newton at one or two steps once
-        transients decay.
+        A sequence of Fields gives an Ensemble whose members are the runs
+        each Field makes alone.  At eps = 0 the limit semigroup steps every
+        member together.  At eps > 0 each member marches in windows of at
+        most one time unit; each window after the first starts Newton from
+        the previous solution shifted by one window, which keeps Newton at
+        one or two steps once transients decay.
         """
         if not stride > 0:
             raise ValueError("stride must be positive")
@@ -546,67 +550,76 @@ class ProcessContext:
         n_strides = t_end / stride
         if abs(n_strides - round(n_strides)) > 1e-9:
             raise ValueError("t_end must be a multiple of stride")
-        if self.eps == 0.0:
-            return _limit_context(self).evolve(u0, tau, t_end, stride)
         n_strides, spw_unit = int(round(n_strides)), int(round(spw_unit))
-        dt, spw, margin_steps = _window_grid(stride, self)
+        grid, stack = _initial_stack(u0)
 
-        times = [tau]
-        slices = [u0.values]
-        cur = u0
-        guess = None
-        done = 0  # strides consumed
-        while done < n_strides:
-            win = min(n_strides - done, spw_unit)  # strides this window
-            m_inner = win * spw
-            m = m_inner + margin_steps
-            start = tau + done * stride
-            cgrid = CylinderGrid(start, m * dt, m, self.eps)
-            u = solve_truncated_bvp(
-                self.sgrid, cgrid, self.mats, self.nl, self.forcing, cur,
-                far=self.far, opts=self.opts, guess=guess,
-            )
-            for j in range(1, win + 1):
-                times.append(start + j * stride)
-                slices.append(u.values[j * spw])
-            cur = u.slice(m_inner)
-            done += win
-            m_next = min(n_strides - done, spw_unit) * spw + margin_steps
-            tail = u.values[m_inner : m_inner + m_next + 1]
-            guess = np.concatenate([tail, np.repeat(tail[-1:], m_next + 1 - len(tail), axis=0)])
-        return Trajectory(self.sgrid, np.array(times), np.stack(slices))
+        if self.eps == 0.0:
+            step = StepOptions(self.dt_target, self.opts)
+            starts = [Field(grid, v) for v in stack]
+            ens = semigroup_evolve(starts, t_end, step, self.mats, self.nl, -self.forcing, tau=tau)
+            nt = ens.times.shape[0]  # every step, then every stride-th and the last
+            every = max(1, int(round(stride / float(ens.times[1] - ens.times[0])))) if nt > 1 else 1
+            idx = np.unique(np.append(np.arange(0, nt, every), nt - 1))
+            times, vals = ens.times[idx], ens.values[:, idx]
+        else:
+            dt, spw = _window_grid(stride, self)
 
+            def march(cur: Field) -> tuple[list, np.ndarray]:
+                times, slices, guess = [tau], [cur.values], None
+                done = 0  # strides consumed
+                while done < n_strides:
+                    win = min(n_strides - done, spw_unit)  # strides this window
+                    start = tau + done * stride
+                    u = self._window(cur, start, dt, win * spw, guess)
+                    for j in range(1, win + 1):
+                        times.append(start + j * stride)
+                        slices.append(u.values[j * spw])
+                    cur = u.slice(win * spw)
+                    guess = u.values[win * spw :]
+                    done += win
+                return times, np.stack(slices)
 
-def _limit_context(context: ProcessContext) -> LimitContext:
-    """The eps = 0 process as the limit semigroup, stepping at dt_target.
+            runs = [march(Field(grid, v)) for v in stack]
+            times, vals = np.array(runs[0][0]), np.stack([v for _, v in runs])
+        if isinstance(u0, Field):
+            return Trajectory(grid, times, vals[0])
+        return Ensemble(grid, times, vals)
 
-    The elliptic convention puts g on the right-hand side and the parabolic
-    one adds it, so the limit flow is driven by -g.
-    """
-    step = StepOptions(dt=context.dt_target, newton=context.opts)
-    return LimitContext(context.sgrid, context.mats, context.nl, -context.forcing, step)
+    def _window(
+        self, u: Field, start: float, dt: float, steps: int, guess: np.ndarray | None = None
+    ) -> CylinderField:
+        """The cylinder solve from u at start over steps steps of dt plus the
+        far margin behind them.  guess, the slices of an earlier solution
+        from start on, warm-starts Newton after being cut or extended by its
+        last slice to the window's length."""
+        m = steps + self.margin_steps(dt)
+        if guess is not None:
+            guess = guess[: m + 1]
+            guess = np.concatenate([guess, np.repeat(guess[-1:], m + 1 - len(guess), axis=0)])
+        return solve_truncated_bvp(
+            self.sgrid, CylinderGrid(start, m * dt, m, self.eps), self.mats, self.nl,
+            self.forcing, u, far=self.far, opts=self.opts, guess=guess,
+        )
 
 
 def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> Field:
     """Slice at time t of the solving process started from u_tau at tau.
 
-    Solves on [tau, t + margin] so the far condition sits a margin away
-    from the reported slice.
+    At eps > 0 the solve runs on [tau, t + margin] so the far condition sits
+    a margin away from the reported slice.
     """
     if t < tau:
         raise ValueError("t must be >= tau")
     if t == tau:
         return u_tau
     if context.eps == 0.0:
-        return _limit_context(context).map(u_tau, tau, t)
-    dt, span_steps, margin_steps = _window_grid(t - tau, context)
-    m = span_steps + margin_steps
-    cgrid = CylinderGrid(tau, m * dt, m, context.eps)
-    u = solve_truncated_bvp(
-        context.sgrid, cgrid, context.mats, context.nl, context.forcing, u_tau,
-        far=context.far, opts=context.opts,
-    )
-    return u.slice(span_steps)
+        step = StepOptions(context.dt_target, context.opts)
+        traj = semigroup_evolve(
+            u_tau, t - tau, step, context.mats, context.nl, -context.forcing, tau=tau
+        )
+        return traj.field(-1)
+    dt, steps = _window_grid(t - tau, context)
+    return context._window(u_tau, tau, dt, steps).slice(steps)
 
 
 def variational_process(
@@ -658,14 +671,9 @@ def regularity_probe(eps_list, h: Forcing, u0: Field, context: ProcessContext):
         raise DegenerateData("u0 and h both vanish")
     rows = []
     for eps in eps_list:
-        probe = replace(context, nl=zero_f, eps=float(eps), dt=None)
-        dt, unit_steps, margin_steps = _window_grid(1.0, probe)
-        m = len(_SLAB_STARTS) * unit_steps + margin_steps
-        cgrid = CylinderGrid(0.0, m * dt, m, float(eps))
-        u = solve_truncated_bvp(
-            context.sgrid, cgrid, context.mats, zero_f, h, u0,
-            far=context.far, opts=context.opts,
-        )
+        probe = replace(context, nl=zero_f, forcing=h, eps=float(eps), dt=None)
+        dt, unit_steps = _window_grid(1.0, probe)
+        u = probe._window(u0, 0.0, dt, len(_SLAB_STARTS) * unit_steps)
         num = max(weighted_norm(u, 2.0, s) for s in _SLAB_STARTS)
         den = surrogate_v_norm(u0, float(eps)) + h_norm
         rows.append((float(eps), num / den))

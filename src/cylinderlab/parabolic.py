@@ -243,45 +243,3 @@ def lyapunov_value(
     force_term = 2.0 * h * np.sum(gbar.values * v, axis=(-2, -1))
     energy = grad_term + pot_term + force_term
     return float(energy) if isinstance(u, Field) else energy
-
-
-@dataclass(frozen=True)
-class LimitContext:
-    """Evolution context for the limit semigroup, duck-typed with the
-    elliptic ProcessContext for the dynamics layer."""
-
-    sgrid: SpatialGrid
-    mats: CouplingMatrices
-    nl: Nonlinearity
-    forcing: Forcing
-    step: StepOptions = StepOptions()
-
-    @property
-    def eps(self) -> float:
-        return 0.0
-
-    def map(self, u0: Field, tau: float, t: float) -> Field:
-        if t < tau:
-            raise ValueError("t must be >= tau")
-        if t == tau:
-            return u0
-        traj = semigroup_evolve(u0, t - tau, self.step, self.mats, self.nl, self.forcing, tau=tau)
-        return traj.field(-1)
-
-    def evolve(
-        self, u0: Field | Sequence[Field], tau: float, t_end: float, stride: float
-    ) -> Trajectory | Ensemble:
-        """Forward evolution keeping slices every `stride` time units.
-
-        A sequence of initial Fields evolves as one ensemble.
-        """
-        traj = semigroup_evolve(u0, t_end, self.step, self.mats, self.nl, self.forcing, tau=tau)
-        dt = float(traj.times[1] - traj.times[0]) if traj.times.shape[0] > 1 else stride
-        every = max(1, int(round(stride / dt)))
-        idx = np.arange(0, traj.times.shape[0], every)
-        if idx[-1] != traj.times.shape[0] - 1:
-            idx = np.append(idx, traj.times.shape[0] - 1)
-        if isinstance(traj, Ensemble):
-            return Ensemble(traj.grid, traj.times[idx], traj.values[:, idx])
-        return Trajectory(traj.grid, traj.times[idx], traj.values[idx])
-

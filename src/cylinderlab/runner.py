@@ -47,7 +47,7 @@ from .errors import LabError, NewtonDiverged
 from .forcing import Constant, forcing_mean
 from .model import CylinderGrid, Field, cubic_nonlinearity, sine_field, symbol_A
 from .newton import NewtonOptions
-from .parabolic import LimitContext, StepOptions, lyapunov_value, semigroup_evolve
+from .parabolic import StepOptions, lyapunov_value, semigroup_evolve
 from .reports import Report
 
 
@@ -246,7 +246,7 @@ def _exp_structure(config: ExperimentConfig, report: Report):
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)
-    lctx = LimitContext(grid, mats, nl, Constant(gbar))
+    lctx = ProcessContext(grid, mats, nl, Constant(-gbar), 0.0)  # elliptic sign convention
     lvals = [lyapunov_value(rec.z, mats, nl, -gbar) for rec in records]  # flow forced by +gbar
 
     eq_table = report.table("equilibria", ["root", "l2", "index", "lyapunov"])

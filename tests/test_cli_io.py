@@ -20,6 +20,7 @@ from cylinderlab import (
     run,
     save_field,
 )
+import cylinderlab
 from cylinderlab.cli import main
 from cylinderlab.reports import fit_plot_svg, report_json
 from cylinderlab import runner
@@ -496,3 +497,8 @@ def test_cli_overrides_out_and_seed(tmp_path):
     assert payload["experiment"]["seed"] == 5
     assert (alt / "equilibria.csv").exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its import is gone breaks `import *`
+    assert [name for name in cylinderlab.__all__ if not hasattr(cylinderlab, name)] == []

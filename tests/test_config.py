@@ -236,6 +236,18 @@ def test_eps_list_validation(tmp_path):
     # the trajectory rate fits a line through at least three points
     traj = minimal(kind="converge", experiment="trajectory-rate", eps_list=[0.4, 0.2])
     fails_with(tmp_path, traj, "eps_list: expected a list of at least 3 numbers")
+    # the experiments that compare eps > 0 against the limit need every
+    # entry > 0; modal-decay and solution-ratios run eps = 0 on purpose
+    for kind, experiment in (
+        ("converge", "trajectory-rate"), ("converge", "periodic-orbit"),
+        ("attractor", "distance-sweep"), ("average", "attractor-mean"),
+    ):
+        zero = minimal(kind=kind, experiment=experiment, eps_list=[0.4, 0.2, 0.0])
+        fails_with(tmp_path, zero, "eps_list[2]: must be > 0")
+    ratios = {"kind": "regularity-probe", "experiment": "solution-ratios"}
+    for base in (modal, ratios):
+        cfg = load_config(write(tmp_path, minimal(**base, eps_list=[0.4, 0.2, 0.0])))
+        assert cfg.eps_list == (0.4, 0.2, 0.0)
     assert load_config(write(tmp_path, minimal(**modal, eps_list=[1, 0.5]))).eps_list == (1.0, 0.5)
 
 

@@ -13,7 +13,6 @@ from cylinderlab import (
     EmptyCloud,
     FastScaled,
     Field,
-    LimitContext,
     NonHyperbolicLimit,
     NonPositiveData,
     NotHyperbolic,
@@ -23,7 +22,6 @@ from cylinderlab import (
     Quasiperiodic,
     ShapeMismatch,
     SpatialGrid,
-    StepOptions,
     Trajectory,
     attractor_distance_experiment,
     cloud_resolution,
@@ -66,8 +64,8 @@ def lam1_origin(grid128, scalar_mats):
 def cloud48(grid48, scalar_mats):
     """Limit attractor portrait of the lam = 2 well on a coarse grid."""
     records, nl = census(grid48, 2.0, scalar_mats)
-    lctx = LimitContext(
-        grid48, scalar_mats, nl, Constant(Field.zeros(grid48)), StepOptions(dt=5e-3)
+    lctx = ProcessContext(
+        grid48, scalar_mats, nl, Constant(Field.zeros(grid48)), eps=0.0, dt=5e-3
     )
     params = CloudParams(radius=1e-3, n_rays=2, t_grow=16.0, stride=0.5)
     return records, nl, lctx, sample_attractor(lctx, records, params)
@@ -207,8 +205,8 @@ def test_cloud_odd_symmetry(cloud48):
 
 def test_attractor_collapses_below_bifurcation(grid48, scalar_mats):
     records, nl = census(grid48, 0.5, scalar_mats)
-    lctx = LimitContext(
-        grid48, scalar_mats, nl, Constant(Field.zeros(grid48)), StepOptions(dt=5e-3)
+    lctx = ProcessContext(
+        grid48, scalar_mats, nl, Constant(Field.zeros(grid48)), eps=0.0, dt=5e-3
     )
     cloud = sample_attractor(lctx, records, CloudParams(radius=1e-3, n_rays=4, t_grow=16.0))
     assert len(cloud) == 1

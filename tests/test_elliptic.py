@@ -15,7 +15,6 @@ from cylinderlab import (
     DegenerateData,
     FastScaled,
     Field,
-    LimitContext,
     NewtonDiverged,
     NewtonOptions,
     Periodic,
@@ -136,7 +135,7 @@ def test_solve_meets_initial_slice_exactly(grid48, scalar_mats, chafee2):
 def test_eps_zero_delegates_to_semigroup(grid48, scalar_mats, chafee2):
     # the eps = 0 cylinder solve must agree with the parabolic march driven
     # by the sign-flipped forcing, slice for slice; the eps = 0 process map
-    # and evolve are the LimitContext calls on that forcing, bit for bit
+    # and evolve are that march and its every-16th slice, bit for bit
     u_tau = sine_field(grid48, [0.5])
     for g, opts in (
         (Constant(sine_field(grid48, [0.3])), NewtonOptions()),
@@ -154,14 +153,14 @@ def test_eps_zero_delegates_to_semigroup(grid48, scalar_mats, chafee2):
         assert traj.values.tobytes() == u.values.tobytes()
 
         ctx = ProcessContext(grid48, scalar_mats, chafee2, g, eps=0.0, opts=opts, dt=1.0 / 64)
-        limit = LimitContext(
-            grid48, scalar_mats, chafee2, -g, StepOptions(1.0 / 64, opts)
+        limit = semigroup_evolve(
+            u_tau, 1.5, StepOptions(1.0 / 64, opts), scalar_mats, chafee2, -g, tau=0.5
         )
         mapped = process_map(u_tau, 0.5, 2.0, ctx)
-        assert mapped.values.tobytes() == limit.map(u_tau, 0.5, 2.0).values.tobytes()
-        got, want = ctx.evolve(u_tau, 0.5, 1.5, 0.25), limit.evolve(u_tau, 0.5, 1.5, 0.25)
-        assert got.times.tobytes() == want.times.tobytes()
-        assert got.values.tobytes() == want.values.tobytes()
+        assert mapped.values.tobytes() == limit.values[-1].tobytes()
+        got = ctx.evolve(u_tau, 0.5, 1.5, 0.25)
+        assert got.times.tobytes() == limit.times[::16].tobytes()
+        assert got.values.tobytes() == limit.values[::16].tobytes()
 
 
 def test_warm_restart_is_a_fixed_point(grid48, scalar_mats, chafee2):

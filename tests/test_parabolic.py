@@ -13,12 +13,12 @@ from cylinderlab import (
     DegenerateData,
     Ensemble,
     Field,
-    LimitContext,
     MissingPotential,
     NewtonDiverged,
     NewtonOptions,
     Nonlinearity,
     Periodic,
+    ProcessContext,
     ShapeMismatch,
     SpatialGrid,
     StepOptions,
@@ -245,12 +245,12 @@ def test_odd_symmetry_is_exact(grid48, scalar_mats, chafee2):
 
 
 # ---------------------------------------------------------------------------
-# limit context
+# the process at eps = 0: the limit semigroup
 
 
-def test_limit_context_map_and_evolve(grid32, scalar_mats, chafee2):
-    ctx = LimitContext(
-        grid32, scalar_mats, chafee2, Constant(Field.zeros(grid32)), StepOptions(dt=1e-2)
+def test_eps_zero_process_map_and_evolve(grid32, scalar_mats, chafee2):
+    ctx = ProcessContext(
+        grid32, scalar_mats, chafee2, Constant(Field.zeros(grid32)), eps=0.0, dt=1e-2
     )
     u0 = sine_field(grid32, [0.5])
     assert ctx.map(u0, 1.0, 1.0) is u0
@@ -263,13 +263,15 @@ def test_limit_context_map_and_evolve(grid32, scalar_mats, chafee2):
         ctx.map(u0, 1.0, 0.5)
 
 
-def test_limit_context_periodic_forcing(grid32, scalar_mats):
+def test_eps_zero_process_periodic_forcing(grid32, scalar_mats):
     # forced linear problem: response of the first mode tends to the known
-    # harmonic amplitude; crude tolerance since dt is first order
+    # harmonic amplitude; crude tolerance since dt is first order.  The
+    # process takes the forcing in the elliptic convention, so the flow
+    # forced by +g gets -g
     nl = linear_nonlinearity(0.0)
     omega = 2.0
     g = Periodic(Field.zeros(grid32), sine_field(grid32, [1.0]), omega)
-    ctx = LimitContext(grid32, scalar_mats, nl, g, StepOptions(dt=1e-3))
+    ctx = ProcessContext(grid32, scalar_mats, nl, -g, eps=0.0, dt=1e-3)
     u0 = Field.zeros(grid32)
     traj = ctx.evolve(u0, 0.0, 12.0, stride=0.05)
     lam = disc_eig(grid32, 1)
@@ -375,12 +377,16 @@ def test_empty_ensemble_is_a_typed_error(tmp_path, configs_dir, grid32, scalar_m
     assert not report.all_pass
 
 
-def test_limit_context_evolves_ensembles(grid32, scalar_mats, chafee2):
-    ctx = LimitContext(
-        grid32, scalar_mats, chafee2, Constant(Field.zeros(grid32)), StepOptions(dt=1e-2)
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_process_evolves_ensembles(grid32, scalar_mats, chafee2, eps):
+    # a solo evolve is the ensemble of one: each member is byte-identical
+    # to its own run, on the limit semigroup and on the eps-process alike
+    ctx = ProcessContext(
+        grid32, scalar_mats, chafee2, Constant(Field.zeros(grid32)), eps=eps, dt=1e-2
     )
     starts = [sine_field(grid32, [0.5]), sine_field(grid32, [-0.2, 0.3])]
     ens = ctx.evolve(starts, 0.0, 1.0, stride=0.25)
+    assert isinstance(ens, Ensemble) and len(ens) == 2
     np.testing.assert_allclose(ens.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     for u0, i in zip(starts, range(len(ens))):
         solo = ctx.evolve(u0, 0.0, 1.0, stride=0.25)
