@@ -118,6 +118,12 @@ def find_equilibria(
     random smooth fields are added on top.  With deflation on, residuals
     are multiplied by prod(1 + 1/||z - z_i||^2) over found roots so Newton
     is repelled from them; every candidate is re-polished undeflated.
+
+    Newton runs on the stack of all seeds at once (_deflated_newton), and
+    the candidates are taken in seed order.  The first seed whose candidate
+    adds a root ends that run; with deflation on, the seeds after it start
+    again from their seeds against the larger root set.  So each seed meets
+    exactly the roots of the seeds before it, as if the seeds ran one by one.
     """
     grid = gbar.grid
     if gbar.k != mats.k:
@@ -129,73 +135,117 @@ def find_equilibria(
     def res(v):
         return stepper.residual(v, v, gvals)
 
-    rng = np.random.default_rng(rng)
-    seeds = [np.zeros((grid.n_interior, mats.k))]
-    for amp in (0.5, 1.0, 1.5, 2.5):
-        for j in (1, 2, 3):
-            prof = sine_field(grid, [0.0] * (j - 1) + [amp], k=1).values
-            prof = np.repeat(prof, mats.k, axis=1)
-            seeds.append(prof)
-            seeds.append(-prof)
-    for _ in range(seed_count):
-        coeffs = rng.standard_normal((4, mats.k)) / np.arange(1, 5)[:, None]
-        seeds.append(sine_field(grid, coeffs, k=mats.k).values)
-
+    todo = _census_seeds(grid, mats.k, seed_count, rng)
     roots: list[np.ndarray] = []
-    for seed in seeds:
-        cand = _root_from_seed(seed, res, stepper, roots if deflation else [], h)
-        if cand is None:
-            continue
-        try:
-            cand, _ = damped_newton(
-                cand, res, stepper.solve, NewtonOptions(tol_residual=1e-11, max_iters=12)
-            )
-        except LabError:
-            continue
-        if float(np.max(np.abs(res(cand)))) > 1e-10:
-            continue
-        if any(_l2_gap(cand, z, h) <= dedup_tol for z in roots):
-            continue
-        roots.append(cand)
+    while len(todo):
+        taken = 0
+        for cand in _deflated_newton(todo, res, stepper, roots if deflation else [], h):
+            taken += 1
+            if cand is None:
+                continue
+            try:
+                cand, _ = damped_newton(
+                    cand, res, stepper.solve, NewtonOptions(tol_residual=1e-11, max_iters=12)
+                )
+            except LabError:
+                continue
+            if float(np.max(np.abs(res(cand)))) > 1e-10:
+                continue
+            if any(_l2_gap(cand, z, h) <= dedup_tol for z in roots):
+                continue
+            roots.append(cand)
+            if deflation:
+                break
+        todo = todo[taken:]
 
     records = [spectral_analyze(Field(grid, z), mats, nl) for z in roots]
     records.sort(key=lambda r: (-r.index, r.z.l2(), -float(np.sum(r.z.values))))
     return records
 
 
+def _census_seeds(grid, k: int, seed_count: int, rng) -> np.ndarray:
+    """(S, n, k) stack of Newton seeds: zero, +-amp sin(jx) for j <= 3 at four
+    amplitudes, then seed_count random smooth fields drawn from rng."""
+    rng = np.random.default_rng(rng)
+    seeds = [np.zeros((grid.n_interior, k))]
+    for amp in (0.5, 1.0, 1.5, 2.5):
+        for j in (1, 2, 3):
+            prof = sine_field(grid, [0.0] * (j - 1) + [amp], k=1).values
+            prof = np.repeat(prof, k, axis=1)
+            seeds.append(prof)
+            seeds.append(-prof)
+    for _ in range(seed_count):
+        coeffs = rng.standard_normal((4, k)) / np.arange(1, 5)[:, None]
+        seeds.append(sine_field(grid, coeffs, k=k).values)
+    return np.stack(seeds)
+
+
 def _l2_gap(a: np.ndarray, b: np.ndarray, h: float) -> float:
     return math.sqrt(h * float(np.sum((a - b) ** 2)))
 
 
-def _root_from_seed(seed, res, stepper, roots, h, max_iters=80):
-    """Plain Newton with multiplicative deflation against found roots."""
-    v = seed.copy()
+def _deflated_newton(seeds, res, stepper, roots, h, max_iters=80):
+    """Plain Newton with multiplicative deflation against roots, run on the
+    (S, n, k) stack of seeds at once.
+
+    Yields one candidate per seed (None where Newton fails), in seed order,
+    as soon as that seed and every seed before it are decided; a caller may
+    stop early.  Every iteration is one residual and one linear solve for
+    all live members, and a member leaves the stack once it converges,
+    blows up, lands on a root, meets a tiny deflated denominator or runs
+    out of iterations.  The members' solves are decoupled and each of the
+    per-member reductions sums in the order a lone seed would, so every
+    member takes exactly the steps it would take alone.
+    """
+    zs = np.array(roots)
+    cands: list[np.ndarray | None] = [None] * len(seeds)
+    decided = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))  # seed number of each stack member
+    v = seeds
+    first = 0  # the first seed not yet yielded
+
+    def each(a):  # per-member flat view, for sums in a lone member's order
+        return a.reshape(a.shape[0], -1)
+
     for _ in range(max_iters):
+        if not live.size:
+            break
         r = res(v)
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn) or np.max(np.abs(v)) > 1e3:
-            return None
-        if rn <= 1e-8:
-            return v
+        rn = np.max(each(np.abs(r)), axis=1)
+        failed = ~np.isfinite(rn) | (np.max(each(np.abs(v)), axis=1) > 1e3)
+        converged = ~failed & (rn <= 1e-8)
+        for i in np.flatnonzero(converged):
+            cands[live[i]] = v[i].copy()
+        out = failed | converged
+        decided[live[out]] = True
+        while first < len(seeds) and decided[first]:
+            yield cands[first]
+            first += 1
+        v, r, live = v[~out], r[~out], live[~out]
+        if not live.size:
+            break
         p = -stepper.solve(v, r)  # p = J^{-1} F, the undeflated decrement
-        if not roots:
+        if not len(zs):
             v = v - p
             continue
-        m = 1.0
+        diffs = v[:, None] - zs  # (members, roots, n, k)
+        d2 = h * np.sum(diffs.reshape(*diffs.shape[:2], -1) ** 2, axis=2)
+        out = np.any(d2 < 1e-14, axis=1)  # on a root already
+        decided[live[out]] = True
+        v, p, diffs, d2, live = v[~out], p[~out], diffs[~out], d2[~out], live[~out]
+        m = np.ones(len(v))
         grad = np.zeros_like(v)
-        for z in roots:
-            d2 = h * float(np.sum((v - z) ** 2))
-            if d2 < 1e-14:
-                return None
-            mi = 1.0 + 1.0 / d2
+        for j in range(len(zs)):
+            mi = 1.0 + 1.0 / d2[:, j]
             m *= mi
-            grad += (-2.0 * h / (d2 * d2 * mi)) * (v - z)
-        grad *= m
-        denom = m + float(np.sum(grad * p))
-        if abs(denom) < 1e-12 * max(m, 1.0):
-            return None
-        v = v - (m / denom) * p
-    return None
+            grad += (-2.0 * h / (d2[:, j] * d2[:, j] * mi))[:, None, None] * diffs[:, j]
+        grad *= m[:, None, None]
+        denom = m + np.sum(each(grad * p), axis=1)
+        out = np.abs(denom) < 1e-12 * np.maximum(m, 1.0)  # a tiny denominator
+        decided[live[out]] = True
+        v = v[~out] - (m[~out] / denom[~out])[:, None, None] * p[~out]
+        live = live[~out]
+    yield from cands[first:]
 
 
 def _linearization(z: Field, mats: CouplingMatrices, nl: Nonlinearity) -> np.ndarray:

@@ -536,11 +536,13 @@ class ProcessContext:
         """Slices every stride time units from tau to tau + t_end.
 
         A sequence of Fields gives an Ensemble whose members are the runs
-        each Field makes alone.  At eps = 0 the limit semigroup steps every
-        member together.  At eps > 0 each member marches in windows of at
-        most one time unit; each window after the first starts Newton from
-        the previous solution shifted by one window, which keeps Newton at
-        one or two steps once transients decay.
+        each Field makes alone.  At every eps the step is the largest one up
+        to dt_target that divides stride, so the slices sit on multiples of
+        stride.  At eps = 0 the limit semigroup steps every member together.
+        At eps > 0 each member marches in windows of at most one time unit;
+        each window after the first starts Newton from the previous solution
+        shifted by one window, which keeps Newton at one or two steps once
+        transients decay.
         """
         if not stride > 0:
             raise ValueError("stride must be positive")
@@ -552,17 +554,14 @@ class ProcessContext:
             raise ValueError("t_end must be a multiple of stride")
         n_strides, spw_unit = int(round(n_strides)), int(round(spw_unit))
         grid, stack = _initial_stack(u0)
+        dt, spw = _window_grid(stride, self)
 
         if self.eps == 0.0:
-            step = StepOptions(self.dt_target, self.opts)
+            step = StepOptions(dt, self.opts)
             starts = [Field(grid, v) for v in stack]
             ens = semigroup_evolve(starts, t_end, step, self.mats, self.nl, -self.forcing, tau=tau)
-            nt = ens.times.shape[0]  # every step, then every stride-th and the last
-            every = max(1, int(round(stride / float(ens.times[1] - ens.times[0])))) if nt > 1 else 1
-            idx = np.unique(np.append(np.arange(0, nt, every), nt - 1))
-            times, vals = ens.times[idx], ens.values[:, idx]
+            times, vals = ens.times[::spw], ens.values[:, ::spw]  # the stride grid
         else:
-            dt, spw = _window_grid(stride, self)
 
             def march(cur: Field) -> tuple[list, np.ndarray]:
                 times, slices, guess = [tau], [cur.values], None

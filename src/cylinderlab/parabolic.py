@@ -80,7 +80,10 @@ class _BandedStepper:
                 band[hb + (c - cp) + k, np.arange(0, n - 1) * k + cp] += -off  # j = i-1
         band.setflags(write=False)
         self._band = band
-        self._stacked = {1: band}  # member count -> block-diagonal band
+        # block-diagonal band of the most members solved so far; fewer
+        # members take its leading columns, so a shrinking stack (the
+        # equilibrium census) builds it once
+        self._stacked = band
 
     def residual(self, v: np.ndarray, u: np.ndarray, gval: np.ndarray) -> np.ndarray:
         lap = laplacian(v, self.sgrid.h)
@@ -96,12 +99,12 @@ class _BandedStepper:
 
     def solve(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         k, hb = self.k, self.hb
-        members = r.size // self._band.shape[1]
-        if members not in self._stacked:
-            stacked = np.tile(self._band, members)
+        cols = r.size
+        if cols > self._stacked.shape[1]:
+            stacked = np.tile(self._band, cols // self._band.shape[1])
             stacked.setflags(write=False)
-            self._stacked[members] = stacked
-        band = self._stacked[members]
+            self._stacked = stacked
+        band = self._stacked[:, :cols]
         jac = self.nl.jac_f(v).reshape(-1, k, k)  # (members * n, k, k)
         # a non-finite r or f' yields a non-finite step, which the Newton
         # line search rejects as a NewtonDiverged; no separate check needed
@@ -152,6 +155,9 @@ def semigroup_evolve(
 ) -> Trajectory | Ensemble:
     """March from tau to tau + t_end, returning every step.
 
+    The step is t_end over the fewest whole steps of at most opts.dt, where
+    a ratio t_end / opts.dt within 1e-9 relative above a whole number counts
+    as that number, so a step that divides t_end up to rounding is kept.
     A Field gives its Trajectory.  A sequence of Fields is stepped as one
     ensemble: each Newton iteration is one linear solve for all members,
     and each member's path is the one it would follow alone.
@@ -162,7 +168,7 @@ def semigroup_evolve(
     if t_end == 0:
         steps, dt = 0, 0.0
     else:
-        steps = max(1, int(math.ceil(t_end / opts.dt - 1e-12)))
+        steps = max(1, int(math.ceil(t_end / opts.dt * (1.0 - 1e-9))))
         dt = t_end / steps
         stepper = _BandedStepper(grid, mats, nl, dt)
     vals = np.empty((cur.shape[0], steps + 1) + cur.shape[1:])

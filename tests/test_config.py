@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylinderlab import ParseError, ValidationError, load_config, rate_fit
+from cylinderlab import ParseError, Report, ValidationError, load_config, rate_fit, run
 from cylinderlab.config import EXPERIMENTS, SCHEMAS, parse_forcing, parse_profile
 from cylinderlab.forcing import Forcing
 from cylinderlab.model import Field, SpatialGrid
@@ -150,10 +150,8 @@ def assert_resolved(cfg):
     assert len(cfg.eps_list) >= schema.eps_list and (schema.eps_list or not cfg.eps_list)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
-    raw = json.loads(json.dumps(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]))
+def mutate(raw: dict, data) -> dict:
+    """raw with one to three params, tolerances or eps_list values mutated."""
     schema = SCHEMAS[raw["experiment"]]
     targets = [("params", key) for key in schema.params]
     targets += [("tolerances", key) for key in schema.tolerances] + [(None, "eps_list")]
@@ -164,17 +162,66 @@ def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
             obj.pop(key, None)
         else:
             obj[key] = value
+    return raw
+
+
+def load_or_none(raw: dict, tmp_path_factory):
+    """The loaded config, or None where validation rejects it."""
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(raw))
     try:
-        cfg = load_config(str(path))
+        return load_config(str(path))
     except (ParseError, ValidationError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
+    raw = json.loads(json.dumps(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]))
+    cfg = load_or_none(mutate(raw, data), tmp_path_factory)
+    if cfg is None:
         return
     # what loads, the experiments can read: every key resolved, and the
     # synthetic lists fit
     assert_resolved(cfg)
     if cfg.experiment == "synthetic-power-law":
         rate_fit(cfg.params["eps"], cfg.params["distances"])
+
+
+# the keys that size a run, and the short value each takes in the run fuzz
+SHORT = {
+    "t_len": 1.0, "t_end": 1.0, "t_grow": 1.0, "t_track": 2.0, "window0": 2.0, "m_steps": 16,
+    "n_rays": 2, "n_trajectories": 2, "seed_count": 2, "xi_points": 10,
+}
+
+
+def shorten(raw: dict) -> dict:
+    """raw on at most 8 nodes, where each key of SHORT that its experiment
+    reads and raw leaves out takes its short value."""
+    raw["problem"]["n_interior"] = min(raw["problem"]["n_interior"], 8)
+    params = raw.setdefault("params", {})
+    for key, value in SHORT.items():
+        if key in SCHEMAS[raw["experiment"]].params:
+            params.setdefault(key, value)
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_run_to_a_verdict(tmp_path_factory, data):
+    # the README's promise for whatever loads: a report with a verdict,
+    # passed or failed, and never an exception out of run
+    name = data.draw(st.sampled_from(sorted(SHIPPED)))
+    raw = json.loads(json.dumps(SHIPPED[name]))
+    for key in SHORT:  # the shipped sizes give way to the short ones
+        raw.get("params", {}).pop(key, None)
+    cfg = load_or_none(shorten(mutate(raw, data)), tmp_path_factory)
+    if cfg is None:
+        return
+    report = run(cfg, fixed_clock=True)
+    assert isinstance(report, Report) and report.verdicts
+    json.dumps(report.to_dict())
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -10,9 +10,12 @@ from scipy.spatial.distance import cdist
 from cylinderlab import (
     CloudParams,
     Constant,
+    CouplingMatrices,
     EmptyCloud,
     FastScaled,
     Field,
+    LabError,
+    NewtonOptions,
     NonHyperbolicLimit,
     NonPositiveData,
     NotHyperbolic,
@@ -26,6 +29,8 @@ from cylinderlab import (
     attractor_distance_experiment,
     cloud_resolution,
     cubic_nonlinearity,
+    damped_newton,
+    dynamics,
     find_equilibria,
     hausdorff_dist,
     heteroclinic_classify,
@@ -39,6 +44,7 @@ from cylinderlab import (
     trajectory_vs_limit,
     zero_nonlinearity,
 )
+from cylinderlab.dynamics import DEDUP_TOL, _census_seeds, _deflated_newton
 from conftest import PI, disc_eig
 
 
@@ -99,6 +105,123 @@ def test_census_two_unstable_modes(grid128, scalar_mats):
     records, _ = census(grid128, 5.0, scalar_mats)
     assert len(records) == 5
     assert sorted((r.index for r in records), reverse=True) == [2, 1, 1, 0, 0]
+
+
+def census_residual(grid, mats, nl):
+    """The census's stepper and its residual at zero forcing."""
+    stepper = dynamics._equilibrium_stepper(grid, mats, nl)
+    zero = np.zeros((grid.n_interior, mats.k))
+    return stepper, lambda v: stepper.residual(v, v, zero)
+
+
+def lone_newton(seed, res, stepper, roots, h, max_iters=80):
+    """The census's deflated Newton for one seed, as a plain loop: the
+    reference each member of the batched census must match bit for bit."""
+    v = seed.copy()
+    for _ in range(max_iters):
+        r = res(v)
+        rn = float(np.max(np.abs(r)))
+        if not np.isfinite(rn) or np.max(np.abs(v)) > 1e3:
+            return None
+        if rn <= 1e-8:
+            return v
+        p = -stepper.solve(v, r)
+        if not roots:
+            v = v - p
+            continue
+        m = 1.0
+        grad = np.zeros_like(v)
+        for z in roots:
+            d2 = h * float(np.sum((v - z) ** 2))
+            if d2 < 1e-14:
+                return None
+            mi = 1.0 + 1.0 / d2
+            m *= mi
+            grad += (-2.0 * h / (d2 * d2 * mi)) * (v - z)
+        grad *= m
+        denom = m + float(np.sum(grad * p))
+        if abs(denom) < 1e-12 * max(m, 1.0):
+            return None
+        v = v - (m / denom) * p
+    return None
+
+
+def same_candidate(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+COUPLED = CouplingMatrices(2, np.array([[1.0, 0.2], [0.2, 1.5]]), np.eye(2))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_census_member_is_the_batch_of_one(k, grid32, grid64, scalar_mats):
+    grid, mats = (grid64, scalar_mats) if k == 1 else (grid32, COUPLED)
+    nl = cubic_nonlinearity(10.0 if k == 1 else 4.0, k)
+    stepper, res = census_residual(grid, mats, nl)
+    seeds = _census_seeds(grid, k, 12, 3)
+    found = [r.z.values for r in find_equilibria(mats, nl, Field.zeros(grid, k), rng=3)]
+    outcomes = set()
+    for roots in ([], found[:3]):
+        batch = list(_deflated_newton(seeds, res, stepper, roots, grid.h))
+        assert len(batch) == len(seeds)
+        outcomes |= {c is None for c in batch}
+        for seed, cand in zip(seeds, batch):
+            (single,) = _deflated_newton(seed[None], res, stepper, roots, grid.h)
+            assert same_candidate(cand, single)
+            assert same_candidate(cand, lone_newton(seed, res, stepper, roots, grid.h))
+    assert outcomes == {True, False}  # members that fail and members that converge
+
+
+def test_census_yields_each_seed_once_it_and_those_before_are_decided(grid64, scalar_mats):
+    # the zero seed is a root of the unforced problem: its candidate comes
+    # out after the first residual, before any other seed has been decided
+    stepper, res = census_residual(grid64, scalar_mats, cubic_nonlinearity(2.0))
+    calls = []
+    batch = _deflated_newton(
+        _census_seeds(grid64, 1, 12, 0), lambda v: calls.append(len(v)) or res(v), stepper, [],
+        grid64.h,
+    )
+    assert not np.any(next(batch)) and calls == [37]
+
+
+@pytest.mark.parametrize("deflation", [True, False])
+def test_census_is_the_seed_by_seed_census(deflation, grid64, scalar_mats, monkeypatch):
+    # a reference census that feeds the seeds one at a time, each against
+    # every root found before it; the roots and their order must match the
+    # batched census, whose restarts after each new root must not show
+    nl = cubic_nonlinearity(10.0)
+    stepper, res = census_residual(grid64, scalar_mats, nl)
+    h = grid64.h
+    roots = []
+    for seed in _census_seeds(grid64, 1, 12, 0):
+        cand = lone_newton(seed, res, stepper, roots if deflation else [], h)
+        if cand is None:
+            continue
+        try:
+            cand, _ = damped_newton(
+                cand, res, stepper.solve, NewtonOptions(tol_residual=1e-11, max_iters=12)
+            )
+        except LabError:
+            continue
+        if np.max(np.abs(res(cand))) > 1e-10:
+            continue
+        if any(math.sqrt(h * np.sum((cand - z) ** 2)) <= DEDUP_TOL for z in roots):
+            continue
+        roots.append(cand)
+
+    analyzed = []
+    analyze = dynamics.spectral_analyze
+
+    def spy(z, mats, nl):
+        analyzed.append(z.values.tobytes())
+        return analyze(z, mats, nl)
+
+    monkeypatch.setattr(dynamics, "spectral_analyze", spy)
+    records = find_equilibria(scalar_mats, nl, Field.zeros(grid64), deflation=deflation, rng=0)
+    assert [r.index for r in records] == [3, 2, 2, 1, 1, 0, 0]
+    assert analyzed == [z.tobytes() for z in roots]
 
 
 def test_spectrum_at_origin(lam2, grid128):
@@ -298,6 +421,16 @@ def test_gap_vanishes_in_the_limit_case(grid48, scalar_mats, chafee2):
     assert series.sup == 0.0
     assert np.all(series.gaps == 0.0)
     assert series.times[0] == 0.0 and series.times[-1] == pytest.approx(2.0)
+
+
+def test_gap_on_a_stride_the_default_step_does_not_divide(grid32, scalar_mats, chafee2):
+    # a stride of 1/3 is not a multiple of the default limit step 1e-3; both
+    # sides still slice at the same multiples of the stride
+    g = Constant(sine_field(grid32, [0.2]))
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, g, eps=0.1)
+    series = trajectory_vs_limit(0.1, g, sine_field(grid32, [0.5]), 1.0, ctx, stride=1 / 3)
+    np.testing.assert_allclose(series.times, [0.0, 1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-12)
+    assert series.gaps[0] == 0.0 and 0.0 < series.sup < 0.1
 
 
 def test_gap_matches_modal_two_rate(grid64, scalar_mats):

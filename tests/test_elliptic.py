@@ -819,6 +819,29 @@ def test_evolve_ends_on_a_partial_window(grid32, scalar_mats, chafee2, t_end):
     assert np.max(np.abs(short.values - full.values[:n])) <= 1e-9
 
 
+def test_limit_evolve_slices_sit_on_the_stride_grid(grid32, scalar_mats, chafee2):
+    # at eps = 0 the step divides the stride, as at eps > 0: a dt of 0.03
+    # becomes 0.25 / 9, and every ninth step is kept
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.0, dt=0.03)
+    u0 = sine_field(grid32, [0.5])
+    traj = ctx.evolve(u0, 0.0, 1.0, 0.25)
+    np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
+    fine = ctx.evolve(u0, 0.0, 1.0, 0.25 / 9)
+    np.testing.assert_array_equal(traj.values, fine.values[::9])
+
+
+def test_limit_evolve_keeps_a_step_that_divides_t_end_up_to_rounding(scalar_mats):
+    # 178 strides of 1/11 at 46 steps each: t_end / dt rounds to 1.8e-12
+    # above 8188, and one more step would shift every slice off the grid
+    grid = SpatialGrid(PI, 2)
+    ctx = ProcessContext(grid, scalar_mats, zero_nonlinearity(), zero_forcing(grid), eps=0.0,
+                         dt=0.002)
+    stride, t_end = 1 / 11, 178 / 11
+    assert t_end / (stride / 46) - 8188 > 1e-12
+    traj = ctx.evolve(sine_field(grid, [0.5]), 0.0, t_end, stride)
+    np.testing.assert_allclose(traj.times, stride * np.arange(179), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # regularity probe
 

@@ -24,6 +24,9 @@ def test_reports_land_where_report_diff_reads_them(tmp_path, capsys, configs_dir
         assert fixed_clock_reports.main([str(tmp_path / side), str(demo)]) == 0
     report = json.loads((tmp_path / "old" / "demo-solve" / "report.json").read_text())
     assert report["wall_clock"] == 0.0
+    # the measured wall time lands beside the fixed-clock reports
+    walls = json.loads((tmp_path / "old" / "walls.json").read_text())
+    assert list(walls) == ["demo-solve"] and walls["demo-solve"] > 0.0
     assert report["experiment"]["out_dir"] == str(tmp_path / "old" / "demo-solve")
     assert all(v["pass"] for v in report["verdicts"])
     capsys.readouterr()
@@ -47,3 +50,5 @@ def test_every_shipped_config_by_default(tmp_path, monkeypatch, capsys):
         kind = json.loads(config.read_text())["kind"]
         assert argv == [kind, "--config", str(config), "--out", str(tmp_path / config.stem),
                         "--fixed-clock"]
+    walls = json.loads((tmp_path / "walls.json").read_text())
+    assert list(walls) == [config.stem for config in shipped]

@@ -12,6 +12,8 @@ declares.  Two such directories, one per commit, are what
 compares.  The configs run one after another in this process, with the
 package imported from the src/ directory next to this script; like `lab`,
 the runs read OPENBLAS_NUM_THREADS from the environment.
+The reports are fixed-clock, so the tool also writes OUT_DIR/walls.json:
+each config's name and the wall seconds its run took in this process.
 The exit status is the largest one of the runs: 0 if every verdict passed,
 1 if one failed, 2 if a config could not be run.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,7 +41,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, src)
     from cylinderlab.cli import main as lab
 
-    status = 0
+    status, walls = 0, {}
     for config in configs:
         try:
             kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
@@ -48,11 +51,15 @@ def main(argv=None) -> int:
             continue
         print(f"== {config.stem}", flush=True)
         out = str(out_dir / config.stem)
+        start = time.perf_counter()
         try:
             code = lab([str(kind), "--config", str(config), "--out", out, "--fixed-clock"])
         except SystemExit as exc:  # the command line rejected the declared kind
             code = 2
+        walls[config.stem] = time.perf_counter() - start
         status = max(status, code)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "walls.json").write_text(json.dumps(walls, indent=2) + "\n", encoding="utf-8")
     return status
 
 
