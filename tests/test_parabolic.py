@@ -97,6 +97,65 @@ def test_backward_euler_first_order_exact_mode(grid64, scalar_mats):
     assert all(0.9 <= q <= 1.1 for q in orders), orders
 
 
+def test_backward_euler_first_order_cubic(grid64, scalar_mats, chafee2):
+    # the cubic twin of the exact-mode test: against the Richardson value
+    # 2 E(dt/2) - E(dt) of the same kernel at a small dt, a second-order
+    # reference, the error at t = 1 must shrink at first order
+    u0 = sine_field(grid64, [0.8, 0.3])
+    g = Constant(Field.zeros(grid64))
+
+    def final(dt):
+        return semigroup_evolve(u0, 1.0, StepOptions(dt=dt), scalar_mats, chafee2, g).values[-1]
+
+    ref = 2.0 * final(5e-4) - final(1e-3)
+    errs = [
+        math.sqrt(grid64.h * float(np.sum((final(dt) - ref) ** 2))) for dt in (0.02, 0.01, 0.005)
+    ]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(0.9 <= q <= 1.1 for q in orders), orders
+
+
+def test_extrapolated_start_saves_newton_work(grid64, scalar_mats, chafee2, monkeypatch):
+    # each step's Newton starts from 2 u_j - u_{j-1}, which is O(dt^2) off
+    # the new state, so one iteration (two residuals) per step is enough at
+    # dt = 1e-3; a start from u_j needs about three residuals per step
+    u0 = sine_field(grid64, [0.3, 0.1])
+    g = Constant(Field.zeros(grid64))
+    calls = [0]
+    inner = parabolic._BandedStepper.residual
+
+    def counted(self, v, u, gval):
+        calls[0] += 1
+        return inner(self, v, u, gval)
+
+    monkeypatch.setattr(parabolic._BandedStepper, "residual", counted)
+    traj = semigroup_evolve(u0, 0.5, StepOptions(dt=1e-3), scalar_mats, chafee2, g)
+    steps = traj.times.shape[0] - 1
+    assert steps == 500
+    assert calls[0] <= 2.2 * steps, calls[0] / steps
+    # the trajectory is the tight-tolerance one up to the Newton tolerance
+    tight = semigroup_evolve(
+        u0,
+        0.5,
+        StepOptions(dt=1e-3, newton=NewtonOptions(tol_residual=1e-13)),
+        scalar_mats,
+        chafee2,
+        g,
+    )
+    assert np.max(np.abs(traj.values - tight.values)) <= 1e-9
+
+
+def test_settled_state_stays_put(grid48, scalar_mats, chafee2):
+    # once a start meets the Newton tolerance the state is at rest: its next
+    # step starts from it, not from its extrapolated last move, so the
+    # settled tail is one state repeated (it settles near step 1550)
+    u0 = sine_field(grid48, [1.2])
+    g = Constant(Field.zeros(grid48))
+    traj = semigroup_evolve(u0, 10.0, StepOptions(dt=5e-3), scalar_mats, chafee2, g)
+    tail = traj.values[-400:]
+    assert all(np.array_equal(state, tail[-1]) for state in tail)
+
+
 def test_semigroup_zero_span(grid32, scalar_mats, chafee2):
     u0 = sine_field(grid32, [1.0])
     traj = semigroup_evolve(
