@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import NoConvergence, newton_krylov
-from scipy.spatial.distance import cdist
 
 from .elliptic import ProcessContext, _window_grid
 from .errors import (
@@ -426,6 +424,14 @@ def sample_attractor(
 # distances
 
 
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """scipy.spatial.distance.cdist (Euclidean), imported on the first call.
+    A module function under scipy's name, so that it can be replaced here."""
+    from scipy.spatial.distance import cdist as pairwise
+
+    return pairwise(xa, xb)
+
+
 def _min_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise min Euclidean distance from x to y, chunked."""
     out = np.empty(x.shape[0])
@@ -565,6 +571,18 @@ class PeriodicTrack:
     residual: float  # period-map defect (fixed-point) or recurrence gap (bounded)
 
 
+def newton_krylov(F, xin: np.ndarray, **options) -> np.ndarray:
+    """scipy.optimize.newton_krylov, imported on the first call; its
+    NoConvergence surfaces as FixedPointDiverged.  A module function under
+    scipy's name, so that it can be replaced here."""
+    from scipy.optimize import NoConvergence, newton_krylov as solve
+
+    try:
+        return solve(F, xin, **options)
+    except NoConvergence as exc:
+        raise FixedPointDiverged(f"period map Newton stalled near the equilibrium: {exc}")
+
+
 def track_periodic_solution(
     record: EquilibriumRecord,
     g: Forcing,
@@ -610,13 +628,9 @@ def track_periodic_solution(
 
     # f_tol is a max-norm bound; sqrt(length) converts it to the L2 target
     f_tol = 1e-6 / math.sqrt(grid.length) * 0.5
-    try:
-        u_star = newton_krylov(
-            defect, z.values.ravel().copy(), rdiff=1e-6, f_tol=f_tol, maxiter=40
-        )
-    except NoConvergence as exc:
-        raise FixedPointDiverged(f"period map Newton stalled near the equilibrium: {exc}")
-    u_star = u_star.reshape(grid.n_interior, k)
+    u_star = newton_krylov(
+        defect, z.values.ravel().copy(), rdiff=1e-6, f_tol=f_tol, maxiter=40
+    ).reshape(grid.n_interior, k)
     fixed = Field(grid, u_star)
 
     final = ectx._window(fixed, 0.0, dt, span, state["guess"])

@@ -33,13 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dst
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 from .errors import DegenerateData, ShapeMismatch, SingularJacobian
 from .forcing import Constant, Forcing
@@ -58,6 +55,9 @@ from .model import (
 )
 from .newton import NewtonOptions, damped_newton
 from .parabolic import StepOptions, _initial_stack, semigroup_evolve, variational_evolve
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DT_CAP = 1.0 / 64.0
 MARGIN_MIN = 2.0
@@ -130,6 +130,11 @@ def _space_time_operator(
     the PDE rows with a acting through eps^2/dt^2 and the eigenvalue,
     gamma/(2dt), and the far row.  Mode p owns rows p(m+1)k ... (p+1)(m+1)k - 1.
     """
+    # imported here, not at module level: an eps = 0 run never builds a
+    # space-time operator and so never pays for scipy.sparse and scipy.fft
+    import scipy.sparse as sp
+    from scipy.fft import dst
+
     n, h = sgrid.n_interior, sgrid.h
     a = np.frombuffer(a_bytes).reshape(k, k)
     gam = np.frombuffer(gamma_bytes).reshape(k, k)
@@ -268,6 +273,8 @@ class _SpaceTimeSystem:
 
     def jacobian(self, values: np.ndarray) -> sp.csc_matrix:
         """Linear part minus the f' blocks evaluated on the PDE slices of values."""
+        import scipy.sparse as sp
+
         v = values.reshape(self.shape3)
         vals = self.nl.jac_f(v[1 : self.m]).ravel()
         nuk = self.lin.shape[0]
@@ -399,6 +406,14 @@ def _gmres(apply, precondition, b, rtol):
         x = x + precondition(y @ basis[: j + 1])
         r = b - apply(x)
     return x, r, bool(np.linalg.norm(r) <= tol)
+
+
+def splu(jac: sp.csc_matrix):
+    """scipy.sparse.linalg.splu, imported on the first call.  A module
+    function under scipy's name, so that it can be replaced here."""
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(jac)
 
 
 def _factor_solve(jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:

@@ -70,7 +70,11 @@ def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
     def diverged(member, why):
         trace = [float(h[member]) for h in history]
         who = f"member {member}: " if x.shape[0] > 1 else ""
-        return NewtonDiverged(f"{who}{why} {trace[-1]:.3e}", trace)
+        # the tolerance is named: one below the residual's rounding floor
+        # shows as a stall just above it
+        return NewtonDiverged(
+            f"{who}{why} {trace[-1]:.3e} (tolerance {opts.tol_residual:g})", trace
+        )
 
     for _ in range(opts.max_iters):
         searching = ~(rn <= opts.tol_residual)

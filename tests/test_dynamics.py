@@ -639,6 +639,52 @@ def test_tracking_requires_hyperbolic(lam1_origin, grid128, scalar_mats):
         track_periodic_solution(origin, Constant(Field.zeros(grid128)), 0.1, ctx)
 
 
+def test_stalled_period_map_newton_is_fixed_point_diverged(
+    cloud48, grid48, scalar_mats, tmp_path, monkeypatch
+):
+    # scipy's newton_krylov gives up with NoConvergence: tracking raises the
+    # library's FixedPointDiverged, and a periodic-orbit cell reports it
+    import scipy.optimize
+
+    from cylinderlab import FixedPointDiverged, load_config, run
+
+    def stalled(F, xin, **options):
+        raise scipy.optimize.NoConvergence(xin)
+
+    monkeypatch.setattr(scipy.optimize, "newton_krylov", stalled)
+    records, nl, _, _ = cloud48
+    plus = [r for r in records if r.index == 0 and float(np.sum(r.z.values)) > 0][0]
+    ctx = ProcessContext(
+        grid48, scalar_mats, nl, Constant(Field.zeros(grid48)), eps=0.0, margin=2.0
+    )
+    per = Periodic(Field.zeros(grid48), sine_field(grid48, [0.5]), 1.0)
+    with pytest.raises(FixedPointDiverged, match="period map Newton stalled near the equilibrium"):
+        track_periodic_solution(plus, FastScaled(per, 0.1), 0.1, ctx)
+
+    cfg = {
+        "version": 1,
+        "kind": "converge",
+        "experiment": "periodic-orbit",
+        "problem": {"length": PI, "n_interior": 16, "nonlinearity": {"id": "cubic", "lam": 2.0}},
+        "forcing": {
+            "type": "periodic",
+            "mean": {"kind": "sine", "coeffs": [0.0]},
+            "osc": {"kind": "sine", "coeffs": [0.5]},
+            "omega": 1.0,
+        },
+        "eps_list": [0.2],
+        "seed": 8,
+        "out_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    report = run(load_config(str(path)), fixed_clock=True)
+    (tracking,) = [t for t in report.tables if t.name == "tracking"]
+    modes = [row[2] for row in tracking.rows]
+    assert modes and all(mode == "failed: FixedPointDiverged" for mode in modes)
+    assert not report.all_pass
+
+
 # ---------------------------------------------------------------------------
 # sweep experiments
 

@@ -27,6 +27,12 @@ def test_reports_land_where_report_diff_reads_them(tmp_path, capsys, configs_dir
     # the measured wall time lands beside the fixed-clock reports
     walls = json.loads((tmp_path / "old" / "walls.json").read_text())
     assert list(walls) == ["demo-solve"] and walls["demo-solve"] > 0.0
+    # and the cold start: the import's seconds and the scipy subpackages it loaded
+    imports = json.loads((tmp_path / "old" / "import.json").read_text())
+    assert (
+        list(imports) == ["import_s", "scipy"] and imports["import_s"] >= 0.0
+        and "scipy.linalg" in imports["scipy"] and imports["scipy"] == sorted(imports["scipy"])
+    )
     assert report["experiment"]["out_dir"] == str(tmp_path / "old" / "demo-solve")
     assert all(v["pass"] for v in report["verdicts"])
     capsys.readouterr()

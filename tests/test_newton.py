@@ -56,6 +56,23 @@ def test_divergence_carries_trace():
     assert all(v >= 0 for v in trace)
 
 
+def test_divergence_names_the_tolerance():
+    # both ways of failing name the residual tolerance that was asked for
+    def res(x):
+        return x * x + 1.0
+
+    def step(x, r):
+        return -r / (2.0 * x)
+
+    with pytest.raises(NewtonDiverged, match=r"stalled at residual \S+ \(tolerance 1e-08\)$"):
+        damped_newton(np.array([0.5]), res, step, NewtonOptions(max_iters=8))
+    with pytest.raises(
+        NewtonDiverged, match=r"no convergence in 2 iterations, residual \S+ \(tolerance 1e-12\)$"
+    ):
+        damped_newton(np.array([1.0]), np.arctan, lambda x, r: -r * (1.0 + x * x) / 2.0,
+                      NewtonOptions(tol_residual=1e-12, max_iters=2))
+
+
 def test_damping_rescues_overshoot():
     # undamped Newton on arctan from x0 = 2 overshoots and cycles outward;
     # the halving line search contracts it to the root at 0

@@ -97,6 +97,26 @@ def test_backward_euler_first_order_exact_mode(grid64, scalar_mats):
     assert all(0.9 <= q <= 1.1 for q in orders), orders
 
 
+def test_richardson_second_order_exact_mode(grid64, scalar_mats):
+    # the Richardson value 2 E(dt/2) - E(dt) of the backward-Euler kernel
+    # cancels its first-order error: against the exact decay of the linear
+    # mode, the error at t = 1 must shrink at second order
+    nl = linear_nonlinearity(1.0)
+    u0 = sine_field(grid64, [1.0])
+    g = Constant(Field.zeros(grid64))
+    exact = math.exp(-(disc_eig(grid64, 1) + 1.0)) * u0.values
+
+    def final(dt):
+        return semigroup_evolve(u0, 1.0, StepOptions(dt=dt), scalar_mats, nl, g).values[-1]
+
+    errs = []
+    for dt in (0.04, 0.02, 0.01, 0.005):
+        extrapolated = 2.0 * final(dt / 2.0) - final(dt)
+        errs.append(math.sqrt(grid64.h * float(np.sum((extrapolated - exact) ** 2))))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(1.8 <= q <= 2.2 for q in orders), orders
+
+
 def test_backward_euler_first_order_cubic(grid64, scalar_mats, chafee2):
     # the cubic twin of the exact-mode test: against the Richardson value
     # 2 E(dt/2) - E(dt) of the same kernel at a small dt, a second-order
@@ -143,6 +163,17 @@ def test_extrapolated_start_saves_newton_work(grid64, scalar_mats, chafee2, monk
         g,
     )
     assert np.max(np.abs(traj.values - tight.values)) <= 1e-9
+
+
+def test_tolerance_below_rounding_floor_is_named(grid64, scalar_mats, chafee2):
+    # at dt = 1e-3 on 64 nodes the residual's terms are about 1e3, so it
+    # cannot resolve 1e-13: the line search stalls just above it, and the
+    # message names the tolerance that was asked for
+    u0 = sine_field(grid64, [0.5, 0.2])
+    g = Constant(Field.zeros(grid64))
+    step = StepOptions(dt=1e-3, newton=NewtonOptions(tol_residual=1e-13))
+    with pytest.raises(NewtonDiverged, match=r"stalled at residual \S+ \(tolerance 1e-13\)"):
+        semigroup_evolve(u0, 0.5, step, scalar_mats, chafee2, g)
 
 
 def test_settled_state_stays_put(grid48, scalar_mats, chafee2):

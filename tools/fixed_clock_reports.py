@@ -14,6 +14,9 @@ package imported from the src/ directory next to this script; like `lab`,
 the runs read OPENBLAS_NUM_THREADS from the environment.
 The reports are fixed-clock, so the tool also writes OUT_DIR/walls.json:
 each config's name and the wall seconds its run took in this process.
+OUT_DIR/import.json holds the cold start: import_s, the seconds the
+package's command line took to import, and scipy, the sorted public scipy
+subpackages loaded right after that import.
 The exit status is the largest one of the runs: 0 if every verdict passed,
 1 if one failed, 2 if a config could not be run.
 """
@@ -39,8 +42,17 @@ def main(argv=None) -> int:
     src = str(ROOT / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
+    start = time.perf_counter()
     from cylinderlab.cli import main as lab
 
+    imports = {
+        "import_s": time.perf_counter() - start,
+        "scipy": sorted(
+            name for name, module in list(sys.modules.items())
+            if name.startswith("scipy.") and name.count(".") == 1
+            and not name.startswith("scipy._") and hasattr(module, "__path__")
+        ),
+    }
     status, walls = 0, {}
     for config in configs:
         try:
@@ -60,6 +72,7 @@ def main(argv=None) -> int:
         status = max(status, code)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "walls.json").write_text(json.dumps(walls, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "import.json").write_text(json.dumps(imports, indent=2) + "\n", encoding="utf-8")
     return status
 
 
