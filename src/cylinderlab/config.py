@@ -82,7 +82,6 @@ class ExperimentConfig:
     tolerances: dict
     out_dir: str
     seed: int
-    margin: float | None
     raw: dict = field(repr=False)
 
 
@@ -370,14 +369,12 @@ class Schema(NamedTuple):
     experiment or the library to size, and _REQUIRED makes the key
     required.  eps_list is the fewest entries the experiment needs (0 when
     it reads none), eps_positive whether each entry must be > 0 (the
-    experiments that compare eps > 0 against the limit cannot run eps = 0),
-    margin whether it reads the far-boundary margin."""
+    experiments that compare eps > 0 against the limit cannot run eps = 0)."""
 
     params: dict
     tolerances: dict
     eps_list: int = 0
     eps_positive: bool = False
-    margin: bool = False
     rules: tuple = ()
 
 
@@ -386,7 +383,6 @@ _CLOUD = CloudParams()
 _CLOUD_KEYS = {
     "radius": (_POS, _CLOUD.radius), "t_grow": (_POS, _CLOUD.t_grow),
     "stride": (_stride, _CLOUD.stride), "n_rays": (_int(1), _CLOUD.n_rays),
-    "discard": (_NONNEG, _CLOUD.discard),
 }
 
 SCHEMAS = {
@@ -425,11 +421,11 @@ SCHEMAS = {
     "trajectory-rate": Schema(  # rate_fit needs three eps
         {"t_end": (_POS, 3.0), "stride": (_stride, 0.125), "u0": (_profile, _sine(0.4))},
         {"slope_min": (_real(), 0.45), "residual_max": (_NONNEG, 0.3)},
-        eps_list=3, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
+        eps_list=3, eps_positive=True, rules=(_spans_fit_stride,),
     ),
     "periodic-orbit": Schema(
         {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)},
-        eps_list=1, eps_positive=True, margin=True,
+        eps_list=1, eps_positive=True,
     ),
     "synthetic-power-law": Schema(
         {"eps": (_reals(3, positive=True), _REQUIRED),
@@ -445,15 +441,13 @@ SCHEMAS = {
     ),
     "distance-sweep": Schema(
         _CLOUD_KEYS, {"final_dist": (_NONNEG, 5e-2)},
-        eps_list=1, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
+        eps_list=1, eps_positive=True, rules=(_spans_fit_stride,),
     ),
     "attractor-mean": Schema(
         {**_CLOUD_KEYS, "window0": (_POS, 32.0), "mean_tol": (_POS, 1e-2)}, {},
-        eps_list=1, eps_positive=True, margin=True, rules=(_spans_fit_stride,),
+        eps_list=1, eps_positive=True, rules=(_spans_fit_stride,),
     ),
-    "solution-ratios": Schema(
-        {"u0": (_profile, _sine(1.0))}, {"spread": (_POS, 2.0)}, eps_list=1, margin=True,
-    ),
+    "solution-ratios": Schema({"u0": (_profile, _sine(1.0))}, {"spread": (_POS, 2.0)}, eps_list=1),
     "symbol-bounds": Schema(
         {"pairs": (_pairs, [[1.0, 0.0]]),
          "eps_grid": (_reals(1, nonnegative=True), [0.0, 0.01, 0.1, 1.0]),
@@ -497,7 +491,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
 
     top_required = {"version", "kind", "problem", "experiment"}
-    top_optional = {"forcing", "eps_list", "params", "tolerances", "out_dir", "seed", "margin"}
+    top_optional = {"forcing", "eps_list", "params", "tolerances", "out_dir", "seed"}
     _require_keys(raw, "", top_required, top_optional)
     if raw["version"] != 1:
         _fail("version", f"unsupported config version {raw['version']!r}")
@@ -539,11 +533,6 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         _fail("out_dir", "expected a nonempty string")
     seed = _integer(raw.get("seed", 0), "seed", minimum=0)
-    margin = None  # the solver sizes the far margin itself
-    if "margin" in raw:
-        margin = _number(raw["margin"], "margin", positive=True)
-        if not schema.margin:
-            _fail("margin", f"not used by experiment {experiment!r}")
 
     return ExperimentConfig(
         kind=kind,
@@ -555,6 +544,5 @@ def load_config(path: str) -> ExperimentConfig:
         tolerances=tolerances,
         out_dir=out_dir,
         seed=seed,
-        margin=margin,
         raw=raw,
     )

@@ -324,7 +324,6 @@ class CloudParams:
     n_rays: int = 16
     t_grow: float = 20.0
     stride: float = 0.25
-    discard: float = 0.0
 
 
 def _ray_starts(
@@ -359,15 +358,6 @@ def _ray_starts(
     return [Field(grid, z.values + seed) for seed in seeds]
 
 
-def _slices(trajs: list[Trajectory], discard: float) -> list[Field]:
-    return [
-        traj.field(j)
-        for traj in trajs
-        for j in range(traj.times.shape[0])
-        if traj.times[j] >= discard - 1e-12
-    ]
-
-
 def _sphere_directions(d: int, count: int) -> np.ndarray:
     """count unit vectors spread over the (d-1)-sphere, deterministic."""
     if d == 2:
@@ -387,8 +377,7 @@ def sample_attractor(
 
     Works for the limit semigroup (eps = 0) and for the eps-process alike;
     eigenray seeds start within O(radius + eps) of the attractor, so slices
-    count from t = 0 unless params.discard trims them.  The rays of all
-    equilibria evolve as one ensemble.
+    count from t = 0.  The rays of all equilibria evolve as one ensemble.
     """
     if not equilibria:
         raise EmptyCloud("no equilibria to seed the attractor from")
@@ -407,14 +396,15 @@ def sample_attractor(
     points = []
     for rec, seeds in zip(equilibria, starts):
         points.append(rec.z)
-        points.extend(_slices([next(members) for _ in seeds], params.discard))
+        for _ in seeds:
+            ray = next(members)
+            points.extend(ray.field(j) for j in range(ray.times.shape[0]))
     meta = {
         "source": "attractor",
         "eps": context.eps,
         "n_rays": params.n_rays,
         "t_grow": params.t_grow,
         "stride": params.stride,
-        "discard": params.discard,
         "equilibria": len(equilibria),
     }
     return PointCloud(tuple(points), meta)

@@ -65,10 +65,6 @@ def _geometry(config: ExperimentConfig):
     return p.grid(), p.matrices(), p.nonlinearity()
 
 
-def _context(config, grid, mats, nl, forcing, eps=0.0) -> ProcessContext:
-    return ProcessContext(grid, mats, nl, forcing, eps, margin=config.margin)
-
-
 def _l2(grid, values) -> float:
     return math.sqrt(grid.h * float(np.sum(values**2)))
 
@@ -84,12 +80,12 @@ def _exp_solve(config: ExperimentConfig, report: Report):
     t_len, u0 = p["t_len"], p["u0"]
 
     if config.kind == "solve-parabolic":
-        m = p["m_steps"] or round(t_len / 1e-3)
+        m = p["m_steps"] or max(1, round(t_len / 1e-3))
         traj = semigroup_evolve(u0, t_len, StepOptions(dt=t_len / m), mats, nl, g)
         times, values = traj.times, traj.values
     else:
         eps = p["eps"]
-        m = p["m_steps"] or math.ceil(t_len / default_dt(eps))
+        m = p["m_steps"] or max(2, math.ceil(t_len / default_dt(eps)))
         u = solve_truncated_bvp(grid, CylinderGrid(0.0, t_len, m, eps), mats, nl, g, u0)
         times, values = u.cgrid.times, u.values
 
@@ -302,7 +298,7 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
     p = config.params
     t_end, u0, tol = p["t_end"], p["u0"], config.tolerances["rel_gap"]
 
-    ctx = _context(config, grid, mats, nl, g, eps=0.0)
+    ctx = ProcessContext(grid, mats, nl, g, 0.0)
     traj_e = ctx.evolve(u0, 0.0, t_end, p["stride"])
     traj_p = semigroup_evolve(
         u0, t_end, StepOptions(dt=ctx.dt_target), mats, nl, -g
@@ -328,7 +324,7 @@ def _exp_trajectory_rate(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = config.forcing
     p = config.params
-    ctx = _context(config, grid, mats, nl, g, eps=0.0)
+    ctx = ProcessContext(grid, mats, nl, g, 0.0)
 
     def cell(eps):
         series = trajectory_vs_limit(eps, g, p["u0"], p["t_end"], ctx, stride=p["stride"])
@@ -364,7 +360,7 @@ def _exp_periodic_orbit(config: ExperimentConfig, report: Report):
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = find_equilibria(mats, nl, gbar, rng=rng)
-    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
+    ctx = ProcessContext(grid, mats, nl, g, config.eps_list[0])
 
     def cell(eps, rec):
         try:
@@ -418,7 +414,7 @@ def _distance_table(report: Report, rows, monotone: bool, fit: dict | None = Non
 def _exp_distance_sweep(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = config.forcing
-    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
+    ctx = ProcessContext(grid, mats, nl, g, config.eps_list[0])
     cloud = CloudParams(**{f.name: config.params[f.name] for f in fields(CloudParams)})
     sweep = attractor_distance_experiment(
         config.eps_list, g, ctx, cloud,
@@ -440,7 +436,7 @@ def _exp_attractor_mean(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = config.forcing
     p = config.params
-    ctx = _context(config, grid, mats, nl, g, eps=config.eps_list[0])
+    ctx = ProcessContext(grid, mats, nl, g, config.eps_list[0])
     result = averaging_experiment(
         g,
         config.eps_list,
@@ -469,7 +465,7 @@ def _exp_attractor_mean(config: ExperimentConfig, report: Report):
 def _exp_solution_ratios(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     h_forcing = config.forcing
-    ctx = _context(config, grid, mats, nl, h_forcing, eps=0.0)
+    ctx = ProcessContext(grid, mats, nl, h_forcing, 0.0)
 
     rows = regularity_probe(config.eps_list, h_forcing, config.params["u0"], ctx)
     table = report.table("ratios", ["eps", "rho"])
@@ -560,7 +556,6 @@ def run(config: ExperimentConfig, fixed_clock: bool = False) -> Report:
         "params": config.raw.get("params", {}),
         "tolerances": config.raw.get("tolerances", {}),
         "seed": config.seed,
-        "margin": config.margin,
         "out_dir": config.out_dir,
     }
     report = Report(experiment=echo)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylinderlab import ParseError, Report, ValidationError, load_config, rate_fit, run
+from cylinderlab.cli import main as lab_main
 from cylinderlab.config import EXPERIMENTS, SCHEMAS, parse_forcing, parse_profile
 from cylinderlab.forcing import Forcing
 from cylinderlab.model import Field, SpatialGrid
@@ -48,7 +49,6 @@ def test_minimal_roundtrip_and_defaults(tmp_path):
     assert cfg.tolerances == {"expected_counts": None, "expected_indices": None}
     assert cfg.out_dir == "lab-out"
     assert cfg.seed == 0
-    assert cfg.margin is None
     # no forcing block: the zero forcing
     assert isinstance(cfg.forcing, Forcing) and cfg.forcing.period == 0.0
     assert not cfg.forcing.profiles.any()
@@ -78,14 +78,13 @@ def test_full_config_roundtrip(tmp_path):
                 tolerances={"final_dist": 0.05},
                 out_dir="out/sweep",
                 seed=11,
-                margin=3.0,
             ),
         )
     )
     assert cfg.eps_list == (0.5, 0.25, 0.125)
     assert cfg.params["radius"] == 0.25
     assert cfg.tolerances["final_dist"] == 0.05
-    assert cfg.out_dir == "out/sweep" and cfg.seed == 11 and cfg.margin == 3.0
+    assert cfg.out_dir == "out/sweep" and cfg.seed == 11
     g = cfg.forcing
     # omega 1.0: the period is 2 pi, and sin(omega t) reaches 1 at t = pi/2
     assert isinstance(g, Forcing) and g.period == 2.0 * math.pi
@@ -222,6 +221,19 @@ def test_mutated_configs_run_to_a_verdict(tmp_path_factory, data):
     report = run(cfg, fixed_clock=True)
     assert isinstance(report, Report) and report.verdicts
     json.dumps(report.to_dict())
+
+
+def test_derived_solve_steps_meet_the_solver_minimum(tmp_path):
+    # without m_steps, a horizon shorter than one default step still takes
+    # each solver's minimum: 2 space-time steps, 1 backward-Euler step
+    problem = {**minimal()["problem"], "n_interior": 16}
+    for kind, params in (
+        ("solve-elliptic", {"eps": 0.1, "t_len": 0.01}),
+        ("solve-parabolic", {"t_len": 0.0004}),
+    ):
+        raw = minimal(kind=kind, experiment="solve", problem=problem, params=params)
+        report = run(load_config(write(tmp_path, raw)), fixed_clock=True)
+        assert {v.name: v.passed for v in report.verdicts} == {"solution-finite": True}, kind
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -496,22 +508,22 @@ def test_tolerances_checked_at_load(tmp_path):
     assert load_config(write(tmp_path, ok)).tolerances["expected_indices"] == [[], [1, 0]]
 
 
-def test_seed_out_dir_margin_rules(tmp_path):
+def test_seed_out_dir_margin_rules(tmp_path, capsys):
     fails_with(tmp_path, minimal(seed=-1), "seed: must be >= 0")
     fails_with(tmp_path, minimal(seed=1.5), "seed: expected an integer")
     fails_with(tmp_path, minimal(out_dir=""), "out_dir: expected a nonempty string")
-    fails_with(tmp_path, minimal(margin=0.0), "margin: must be > 0")
-    # census runs no truncated solves, so a margin there is a config mistake
-    fails_with(tmp_path, minimal(margin=4.0), "margin: not used by experiment 'census'")
-    ok = minimal(kind="converge", experiment="trajectory-rate", eps_list=[0.4, 0.2, 0.1],
-                 margin=4.0)
-    assert load_config(write(tmp_path, ok)).margin == 4.0
-    # solution-ratios solves truncated cylinders; the elliptic solve does not read a margin
-    ok = minimal(kind="regularity-probe", experiment="solution-ratios", eps_list=[0.1],
-                 margin=3.0)
-    assert load_config(write(tmp_path, ok)).margin == 3.0
-    bad = minimal(kind="solve-elliptic", experiment="solve", margin=3.0)
-    fails_with(tmp_path, bad, "margin: not used by experiment 'solve'")
+    # the solver sizes every far margin and the clouds keep every slice, so
+    # neither margin nor discard is a config key
+    sweep = {"kind": "attractor", "experiment": "distance-sweep", "eps_list": [0.1]}
+    for obj, fragment in (
+        (minimal(margin=1.0), "margin: unknown key"),
+        (minimal(**sweep, margin=1.0), "margin: unknown key"),
+        (minimal(**sweep, params={"discard": 0.0}),
+         "params.discard: unknown key for experiment 'distance-sweep'"),
+    ):
+        fails_with(tmp_path, obj, fragment)
+        assert lab_main([obj["kind"], "--config", write(tmp_path, obj)]) == 2
+        assert fragment in capsys.readouterr().err
 
 
 def test_parse_errors_carry_position(tmp_path):

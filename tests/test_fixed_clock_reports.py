@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -58,3 +61,43 @@ def test_every_shipped_config_by_default(tmp_path, monkeypatch, capsys):
                         "--fixed-clock"]
     walls = json.loads((tmp_path / "walls.json").read_text())
     assert list(walls) == [config.stem for config in shipped]
+
+
+PRELOAD_SCRIPT = """
+import importlib.util, json, sys
+import cylinderlab.cli
+
+spec = importlib.util.spec_from_file_location("tool", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+seen = []
+
+def lab(argv):
+    seen.append(sorted(name for name in tool.PRELOAD if name in sys.modules))
+    return 0
+
+cylinderlab.cli.main = lab
+code = tool.main([sys.argv[2], sys.argv[3]])
+print(json.dumps({"code": code, "seen": seen, "preload": sorted(tool.PRELOAD)}))
+"""
+
+
+def test_scipy_preload_follows_the_import_record(tmp_path, configs_dir):
+    # in a fresh interpreter: import.json lists what the import alone loaded,
+    # and every deferred subpackage is loaded before the first timed config
+    env = dict(os.environ)
+    src = str(TOOLS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELOAD_SCRIPT, str(TOOLS / "fixed_clock_reports.py"),
+         str(tmp_path), str(configs_dir / "demo-solve.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["code"] == 0 and seen["seen"] == [seen["preload"]]
+    imports = json.loads((tmp_path / "import.json").read_text())
+    assert list(imports) == ["import_s", "scipy"] and "scipy.linalg" in imports["scipy"]
+    deferred = {".".join(name.split(".")[:2]) for name in seen["preload"]}
+    assert deferred == {"scipy.sparse", "scipy.fft", "scipy.spatial", "scipy.optimize"}
+    assert not deferred & set(imports["scipy"])

@@ -97,6 +97,23 @@ def test_changes_that_need_attention(tmp_path, capsys, new, expect):
     assert expect in out["c03"]
 
 
+def test_echo_change_names_its_keys(tmp_path, capsys):
+    # a dropped config key shows as the one echo key removed, and still needs attention
+    old = report("o", ROWS)
+    old["experiment"]["margin"] = 1.0
+    new = report("o", ROWS)
+    new["experiment"]["seed"] = 6
+    new["experiment"]["forcing"] = None
+    status, out = run(
+        tmp_path, capsys, {"c10": old, "c11": old}, {"c10": report("o", ROWS), "c11": new}
+    )
+    assert status == 1
+    assert out["c10"] == (
+        "tables within 1e-12; experiment echo changed: margin removed; verdicts unchanged"
+    )
+    assert "experiment echo changed: forcing added, margin removed, seed changed;" in out["c11"]
+
+
 def test_report_on_one_side_only(tmp_path, capsys):
     status, out = run(
         tmp_path, capsys, {"c01": report("o", ROWS), "c02": report("o", ROWS)},

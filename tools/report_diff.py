@@ -13,8 +13,9 @@ For each config one line is printed:
   table, row and column, and whether any verdict changed.
 
 Relative differences are |a - b| / max(|a|, |b|) over numeric cells and
-rate-fit entries.  A changed experiment echo, a changed non-numeric cell
-and a table that changed shape are named as well.  The exit status is 1 if
+rate-fit entries.  A changed experiment echo (with each top-level key that
+was added, removed or changed), a changed non-numeric cell and a table
+that changed shape are named as well.  The exit status is 1 if
 any of those or a verdict changed, or if a report exists on one side only,
 and 0 otherwise.  Standard library only.
 """
@@ -53,7 +54,15 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
     """(one-line summary, whether the pair needs attention)."""
     if json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True):
         return "identical", False
-    notes = [] if old.get("experiment") == new.get("experiment") else ["experiment echo changed"]
+    notes = []
+    echo_a, echo_b = old.get("experiment", {}), new.get("experiment", {})
+    echo = [
+        f"{key} {'added' if key not in echo_a else 'removed' if key not in echo_b else 'changed'}"
+        for key in sorted(echo_a.keys() | echo_b.keys())
+        if key not in echo_a or key not in echo_b or echo_a[key] != echo_b[key]
+    ]
+    if echo:
+        notes.append("experiment echo changed: " + ", ".join(echo))
     worst = (0.0, "")
     old_tables = {t["name"]: t for t in old.get("tables", [])}
     new_tables = {t["name"]: t for t in new.get("tables", [])}
