@@ -167,16 +167,14 @@ def _parse_problem(obj, path: str) -> ProblemSpec:
     if nl_id not in ("zero", "linear", "cubic"):
         _fail(f"{npath}.id", f"unknown nonlinearity {nl_id!r}")
     param = 0.0
-    if nl_id == "cubic":
-        if "lam" not in nl:
-            _fail(f"{npath}.lam", "missing required key")
-        param = _number(nl["lam"], f"{npath}.lam")
-    elif nl_id == "linear":
-        if "c" not in nl:
-            _fail(f"{npath}.c", "missing required key")
-        param = _number(nl["c"], f"{npath}.c")
-    elif set(nl) - {"id"}:
-        _fail(npath, "zero nonlinearity takes no parameters")
+    if nl_id == "zero":
+        if set(nl) - {"id"}:
+            _fail(npath, "zero nonlinearity takes no parameters")
+    else:
+        # each nonlinearity takes its own parameter and no other
+        key = "lam" if nl_id == "cubic" else "c"
+        _require_keys(nl, npath, {"id", key})
+        param = _number(nl[key], f"{npath}.{key}")
     try:
         spec = ProblemSpec(length, n, k, a, gamma, nl_id, param)
         spec.matrices()
@@ -198,17 +196,15 @@ def parse_profile(obj, grid: SpatialGrid, k: int, path: str = "profile") -> Fiel
         if set(obj) - {"kind"}:
             _fail(path, "zero profile takes no parameters")
         return Field(grid, np.zeros((grid.n_interior, k)))
+    # each kind takes its own parameter and no other
+    _require_keys(obj, path, {"kind", "value" if kind == "uniform" else "coeffs"})
     if kind == "uniform":
-        if "value" not in obj:
-            _fail(f"{path}.value", "missing required key")
         val = obj["value"]
         vals = [val] if not isinstance(val, list) else val
         if len(vals) != k:
             _fail(f"{path}.value", f"expected {k} components")
         row = [_number(v, f"{path}.value[{i}]") for i, v in enumerate(vals)]
         return Field(grid, np.tile(row, (grid.n_interior, 1)))
-    if "coeffs" not in obj:
-        _fail(f"{path}.coeffs", "missing required key")
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         _fail(f"{path}.coeffs", "expected a nonempty list")

@@ -39,6 +39,8 @@ from .parabolic import _BandedStepper
 # nodes, so the gate sits above that and below every regular gap used here
 NU_MIN = 1e-4
 DEDUP_TOL = 1e-4
+# window doublings averaging_experiment tries before the mean counts as unsettled
+_MAX_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,6 @@ def find_equilibria(
     seed_count: int = 12,
     deflation: bool = True,
     rng=None,
-    dedup_tol: float = DEDUP_TOL,
 ) -> list[EquilibriumRecord]:
     """All roots of a z_xx - f(z) + gbar = 0 reachable from the seed net.
 
@@ -149,7 +150,7 @@ def find_equilibria(
                 continue
             if float(np.max(np.abs(res(cand)))) > 1e-10:
                 continue
-            if any(_l2_gap(cand, z, h) <= dedup_tol for z in roots):
+            if any(_l2_gap(cand, z, h) <= DEDUP_TOL for z in roots):
                 continue
             roots.append(cand)
             if deflation:
@@ -721,7 +722,6 @@ def averaging_experiment(
     params: CloudParams = CloudParams(),
     mean_tol: float = 1e-2,
     window0: float = 32.0,
-    max_doublings: int = 8,
     rng=None,
 ) -> AveragingResult:
     """Attractor of the fast-forced problem against the averaged limit.
@@ -734,7 +734,7 @@ def averaging_experiment(
     w = window0
     prev = time_average(g, 0.0, w)
     gbar = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         w *= 2.0
         cur = time_average(g, 0.0, w)
         if (cur - prev).l2() <= mean_tol:
@@ -743,7 +743,7 @@ def averaging_experiment(
         prev = cur
     if gbar is None:
         raise AverageNotConverged(
-            f"window average still moving after {max_doublings} doublings"
+            f"window average still moving after {_MAX_DOUBLINGS} doublings"
         )
     rows, monotone, limit_cloud = _sweep_against_limit(
         [float(e) for e in eps_list], g, gbar, context, params, rng

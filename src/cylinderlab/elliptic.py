@@ -1,9 +1,11 @@
 """Space-time Newton solver for the perturbed elliptic problem on a cylinder.
 
 Solves a (eps^2 u_tt + u_xx) - gamma u_t - f(u) = g(t) on [tau, tau + t_len]
-with u(tau) = u_tau, homogeneous Dirichlet in x, and a far condition at the
-right end of the truncated cylinder.  All time slices are unknowns of one
-sparse block-tridiagonal system, solved by damped Newton.
+with u(tau) = u_tau and homogeneous Dirichlet in x.  The cylinder is
+semi-infinite and u stays bounded as t -> infinity; a truncated window ends
+in the one far condition du/dt = 0 (one-sided, second order), a margin
+behind the slices it reports (ProcessContext.margin_steps).  All time slices
+are unknowns of one sparse block-tridiagonal system, solved by damped Newton.
 
 Every linear solve runs the module's right-preconditioned GMRES.  The
 preconditioner is fast diagonalization: a DST-I in x splits the Jacobian,
@@ -86,21 +88,6 @@ _ETA_MAX = 1e-5
 _EW_GAMMA = 0.9
 
 
-@dataclass(frozen=True)
-class ZeroTimeDerivative:
-    """Homogeneous du/dt = 0 at the far end (one-sided second order)."""
-
-
-@dataclass(frozen=True)
-class Clamp:
-    """Pin the far slice to a fixed profile."""
-
-    profile: Field
-
-
-FarBoundary = ZeroTimeDerivative | Clamp
-
-
 def default_dt(eps: float) -> float:
     """Step target resolving the eps^2 u_tt layer: eps/4, capped at 1/64."""
     if eps <= 0.0:
@@ -116,7 +103,7 @@ _OPERATOR_CACHE = 8
 @functools.lru_cache(maxsize=_OPERATOR_CACHE)
 def _space_time_operator(
     sgrid: SpatialGrid, m: int, dt: float, eps: float, k: int,
-    a_bytes: bytes, gamma_bytes: bytes, clamp: bool,
+    a_bytes: bytes, gamma_bytes: bytes,
 ):
     """Shape-only part of a _SpaceTimeSystem, shared read-only by every
     window of one shape: the linear part (CSR, for the mat-vecs of every
@@ -167,11 +154,8 @@ def _space_time_operator(
     )
     e0 = sp.coo_matrix(([1.0], ([0], [0])), shape=sz)
     lin = lin + sp.kron(e0, sp.identity(n * k))
-    if clamp:
-        efar = sp.coo_matrix(([1.0], ([m], [m])), shape=sz)
-    else:
-        c = 0.5 / dt
-        efar = sp.coo_matrix(([3.0 * c, -4.0 * c, c], ([m, m, m], [m, m - 1, m - 2])), shape=sz)
+    c = 0.5 / dt
+    efar = sp.coo_matrix(([3.0 * c, -4.0 * c, c], ([m, m, m], [m, m - 1, m - 2])), shape=sz)
     lin = (lin + sp.kron(efar, sp.identity(n * k))).tocsr()
 
     kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
@@ -192,11 +176,8 @@ def _space_time_operator(
             put(inner, 0, c, d, (lam[:, None] - 2.0 * e2) * a[c, d])
             put(inner, 1, c, d, e2 * a[c, d] - gam[c, d] / (2.0 * dt))
         put(0, 0, c, c, 1.0)
-        if clamp:
-            put(m, 0, c, c, 1.0)
-        else:
-            for shift, w in ((0, 3.0), (-1, -4.0), (-2, 1.0)):
-                put(m, shift, c, c, w * 0.5 / dt)
+        for shift, w in ((0, 3.0), (-1, -4.0), (-2, 1.0)):
+            put(m, shift, c, c, w * 0.5 / dt)
     # columns of the PDE rows' diagonal blocks, where -mean f' goes
     diag_cols = tuple((modes * (m + 1) + inner) * k + d for d in range(k))
     # the orthonormal DST-I as an n x n matrix: for the grids in use one
@@ -220,7 +201,7 @@ class _SpaceTimeSystem:
 
     Unknowns are ordered (time slice, space node, component); rows are the
     initial condition (j=0), the PDE at interior slices, and the far
-    condition (j=m).
+    condition du/dt = 0 (j=m).
     """
 
     def __init__(
@@ -231,7 +212,6 @@ class _SpaceTimeSystem:
         nl: Nonlinearity,
         g: Forcing,
         u_tau: Field,
-        far: FarBoundary,
     ):
         m = cgrid.m_steps
         if m < 2:
@@ -241,11 +221,6 @@ class _SpaceTimeSystem:
             raise ShapeMismatch(f"matrix k={mats.k} vs nonlinearity k={nl.k}")
         if u_tau.grid != sgrid or u_tau.k != k:
             raise ShapeMismatch("u_tau does not match the declared grids")
-        if isinstance(far, Clamp):
-            if far.profile.grid != sgrid or far.profile.k != k:
-                raise ShapeMismatch("clamp profile does not match the grids")
-        elif not isinstance(far, ZeroTimeDerivative):
-            raise TypeError(f"not a far boundary: {type(far)!r}")
         self.shape3 = (m + 1, n, k)
         self.m, self.n, self.k = m, n, k
         self.nl = nl
@@ -253,15 +228,12 @@ class _SpaceTimeSystem:
             self.lin, self._band, self._kl, self._ku, self._diag_cols, self._sine,
             self._jac_rows, self._jac_cols,
         ) = _space_time_operator(
-            sgrid, m, cgrid.dt, cgrid.eps, k,
-            mats.a.tobytes(), mats.gamma.tobytes(), isinstance(far, Clamp),
+            sgrid, m, cgrid.dt, cgrid.eps, k, mats.a.tobytes(), mats.gamma.tobytes()
         )
 
         b = np.zeros(self.shape3)
         b[0] = u_tau.values
         b[1:m] = g.window(cgrid.times[1:m])
-        if isinstance(far, Clamp):
-            b[m] = far.profile.values
         self.b = b.ravel()
 
     def residual(self, u: np.ndarray) -> np.ndarray:
@@ -334,7 +306,7 @@ def _mode_solver(band, kl, ku, diag_cols, fbar):
     mode-major right-hand side (n, (m+1)k), which it may overwrite, or None
     if a mode is singular.  For k = 1 the row operation far row -= w (row
     m-1), w = c / A+, clears the far row's entry c two slices back (A+ is
-    row m-1's sub-diagonal, and w = 0 for a clamp), so gttrf factors all
+    row m-1's sub-diagonal), so gttrf factors all
     modes as one tridiagonal system.  k > 1 keeps the banded LU.
     """
     k = len(diag_cols)
@@ -443,7 +415,6 @@ def solve_truncated_bvp(
     nl: Nonlinearity,
     g: Forcing,
     u_tau: Field,
-    far: FarBoundary = ZeroTimeDerivative(),
     opts: NewtonOptions | None = None,
     guess: np.ndarray | None = None,
 ) -> CylinderField:
@@ -458,7 +429,7 @@ def solve_truncated_bvp(
         step = StepOptions(cgrid.dt, opts)
         traj = semigroup_evolve(u_tau, cgrid.t_len, step, mats, nl, -g, tau=cgrid.tau)
         return CylinderField(sgrid, cgrid, traj.values)
-    system = _SpaceTimeSystem(sgrid, cgrid, mats, nl, g, u_tau, far)
+    system = _SpaceTimeSystem(sgrid, cgrid, mats, nl, g, u_tau)
     if guess is None:
         u0 = np.broadcast_to(u_tau.values, system.shape3).ravel().copy()
     else:
@@ -492,7 +463,6 @@ class ProcessContext:
     nl: Nonlinearity
     forcing: Forcing
     eps: float
-    far: FarBoundary = ZeroTimeDerivative()
     opts: NewtonOptions = NewtonOptions()
     margin: float | None = None
     dt: float | None = None
@@ -612,26 +582,21 @@ class ProcessContext:
             guess = np.concatenate([guess, np.repeat(guess[-1:], m + 1 - len(guess), axis=0)])
         return solve_truncated_bvp(
             self.sgrid, CylinderGrid(start, m * dt, m, self.eps), self.mats, self.nl,
-            self.forcing, u, far=self.far, opts=self.opts, guess=guess,
+            self.forcing, u, opts=self.opts, guess=guess,
         )
 
 
 def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> Field:
     """Slice at time t of the solving process started from u_tau at tau.
 
-    At eps > 0 the solve runs on [tau, t + margin] so the far condition sits
-    a margin away from the reported slice.
+    The solve runs on [tau, t + margin] so the far condition sits a margin
+    away from the reported slice; at eps = 0 the margin is empty and the
+    window is the limit semigroup's march.
     """
     if t < tau:
         raise ValueError("t must be >= tau")
     if t == tau:
         return u_tau
-    if context.eps == 0.0:
-        step = StepOptions(context.dt_target, context.opts)
-        traj = semigroup_evolve(
-            u_tau, t - tau, step, context.mats, context.nl, -context.forcing, tau=tau
-        )
-        return traj.field(-1)
     dt, steps = _window_grid(t - tau, context)
     return context._window(u_tau, tau, dt, steps).slice(steps)
 
@@ -641,12 +606,11 @@ def variational_process(
     xi: Field,
     mats: CouplingMatrices,
     nl: Nonlinearity,
-    far: FarBoundary = ZeroTimeDerivative(),
 ) -> CylinderField:
     """Linearized flow along a converged base solution: one Jacobian solve.
 
     Solves a (eps^2 v_tt + v_xx) - gamma v_t - f'(u(t)) v = 0 with
-    v(tau) = xi and the homogeneous version of the far condition.
+    v(tau) = xi and the far condition dv/dt = 0.
     """
     if xi.grid != base.sgrid or xi.k != base.k:
         raise ShapeMismatch("xi does not match the base solution")
@@ -655,10 +619,8 @@ def variational_process(
         opts = StepOptions(dt=base.cgrid.dt)
         out = variational_evolve(traj, xi, opts, mats, nl)
         return CylinderField(base.sgrid, base.cgrid, out.values)
-    if isinstance(far, Clamp):
-        far = Clamp(Field.zeros(base.sgrid, base.k))
     zero_g = Constant(Field.zeros(base.sgrid, base.k))
-    system = _SpaceTimeSystem(base.sgrid, base.cgrid, mats, nl, zero_g, xi, far)
+    system = _SpaceTimeSystem(base.sgrid, base.cgrid, mats, nl, zero_g, xi)
     # rows are linear with Jacobian evaluated on the base solution
     rhs = np.zeros(system.shape3)
     rhs[0] = xi.values

@@ -8,10 +8,10 @@ import numpy as np
 
 from .errors import NewtonDiverged
 
-# residual tolerances used by default for linear / nonlinear problems
-DEFAULT_TOL_LINEAR = 1e-10
+# residual tolerance used by default
 DEFAULT_TOL_NONLINEAR = 1e-8
 
+# halvings of a step before the line search counts as stalled
 _MAX_HALVINGS = 30
 
 
@@ -19,16 +19,12 @@ _MAX_HALVINGS = 30
 class NewtonOptions:
     tol_residual: float = DEFAULT_TOL_NONLINEAR
     max_iters: int = 25
-    damping: bool = True
-    min_step: float = 1e-10
 
     def __post_init__(self):
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.min_step > 0:
-            raise ValueError("min_step must be positive")
 
 
 def damped_newton(x0, residual, solve_step, opts: NewtonOptions, batch: bool = False):
@@ -88,9 +84,7 @@ def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
                 trial = np.where(searching[lead], trial, x)
             r_trial = residual(trial)
             rn_trial = _sup_norms(r_trial)
-            ok = searching & np.isfinite(rn_trial)
-            if opts.damping:
-                ok &= rn_trial < rn
+            ok = searching & np.isfinite(rn_trial) & (rn_trial < rn)
             # accepted members take their step; the others keep searching
             if ok.all():
                 x, r, rn = trial, r_trial, rn_trial
@@ -102,9 +96,6 @@ def _newton_members(x0, residual, solve_step, opts: NewtonOptions):
             if not searching.any():
                 break
             lam[searching] *= 0.5
-            stalled = searching & (lam < opts.min_step)
-            if stalled.any():
-                raise diverged(int(np.argmax(stalled)), "line search stalled at residual")
         else:
             raise diverged(int(np.argmax(searching)), "line search stalled at residual")
         history.append(rn)

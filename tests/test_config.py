@@ -331,6 +331,13 @@ def test_problem_validation_paths(tmp_path):
     bad["problem"]["nonlinearity"] = {"id": "zero", "lam": 1.0}
     fails_with(tmp_path, bad, "zero nonlinearity takes no parameters")
 
+    # the parameter of another nonlinearity is a stray key
+    bad = minimal()
+    bad["problem"]["nonlinearity"] = {"id": "cubic", "lam": 2, "c": 5}
+    fails_with(tmp_path, bad, "problem.nonlinearity.c: unknown key")
+    bad["problem"]["nonlinearity"] = {"id": "linear", "c": 1, "lam": 5}
+    fails_with(tmp_path, bad, "problem.nonlinearity.lam: unknown key")
+
     # a may be asymmetric (only a + a^T is constrained), gamma may not
     ok = minimal()
     ok["problem"]["k"] = 2
@@ -372,6 +379,12 @@ def test_forcing_validation_paths(tmp_path):
         "eps": 0.5,
     }
     fails_with(tmp_path, base, "forcing.inner.mean: zero profile takes no parameters")
+
+    # the parameter of another profile kind is a stray key
+    base["forcing"] = {"type": "constant", "mean": {"kind": "sine", "coeffs": [0.5], "value": 9}}
+    fails_with(tmp_path, base, "forcing.mean.value: unknown key")
+    base["forcing"] = {"type": "constant", "mean": {"kind": "uniform", "value": 0.5, "coeffs": [9]}}
+    fails_with(tmp_path, base, "forcing.mean.coeffs: unknown key")
 
     base["forcing"] = {
         "type": "patchwork",

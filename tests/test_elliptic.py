@@ -8,7 +8,6 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from cylinderlab import (
-    Clamp,
     Constant,
     CouplingMatrices,
     CylinderGrid,
@@ -32,7 +31,6 @@ from cylinderlab import (
     solve_truncated_bvp,
     track_periodic_solution,
     variational_process,
-    ZeroTimeDerivative,
     zero_nonlinearity,
 )
 from cylinderlab import elliptic
@@ -234,14 +232,24 @@ def test_margin_insensitivity(process48, grid48):
     assert (a - b).l2() <= 1e-5
 
 
-def test_far_condition_insensitivity(process48, grid48):
-    # swapping the homogeneous du/dt = 0 far condition for a clamped profile
-    # changes the interior slice within the same contamination budget
+def test_far_condition_insensitivity(grid48, scalar_mats):
+    # the cylinder is semi-infinite and u stays bounded, so on a sine mode
+    # with f = c u the discrete solution is r^j u0, r the root of modulus < 1
+    # of the PDE row's stencil (A - B) r^2 + (mu - 2A) r + (A + B) with
+    # A = eps^2/dt^2, B = 1/(2dt), mu = lam_1 - c; the one far row, a margin
+    # behind the mapped slice, must leave that slice on this solution
     u0 = sine_field(grid48, [0.5])
-    clamped = replace(process48, far=Clamp(Field.zeros(grid48)))
-    a = process_map(u0, 0.0, 1.0, process48)
-    b = process_map(u0, 0.0, 1.0, clamped)
-    assert (a - b).l2() <= 1e-4
+    for c in (0.0, 1.0):
+        ctx = ProcessContext(
+            grid48, scalar_mats, linear_nonlinearity(c), zero_forcing(grid48), eps=0.1
+        )
+        dt, steps = elliptic._window_grid(1.0, ctx)
+        big, b = ctx.eps**2 / dt**2, 1.0 / (2.0 * dt)
+        mu = -disc_eig(grid48) - c
+        r = float(min(np.roots([big - b, mu - 2.0 * big, big + b]), key=abs))
+        assert abs(r) < 1.0
+        got = process_map(u0, 0.0, 1.0, ctx)
+        assert rel_gap(got.values, r**steps * u0.values) <= 1e-10
 
 
 def test_injectivity_probe(process48, grid48):
@@ -346,7 +354,7 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def coupled_problem(grid, far_kind):
+def coupled_problem(grid):
     """k = 2 with non-diagonal a and gamma, cubic f, periodic forcing."""
     mats = CouplingMatrices(
         2, np.array([[1.0, 0.4], [-0.3, 0.8]]), np.array([[1.0, 0.3], [0.3, 1.6]])
@@ -354,22 +362,19 @@ def coupled_problem(grid, far_kind):
     nl = cubic_nonlinearity(2.0, k=2)
     g = Periodic(Field.zeros(grid, 2), sine_field(grid, [[0.3, -0.2]], k=2), 1.0)
     u_tau = sine_field(grid, [[0.8, 0.5], [0.0, 0.3]], k=2)
-    if far_kind == "zero-derivative":
-        far = ZeroTimeDerivative()
-    else:
-        far = Clamp(sine_field(grid, [[0.2, -0.1]], k=2))
-    return mats, nl, g, u_tau, far
+    return mats, nl, g, u_tau
 
 
 def rel_gap(x, ref) -> float:
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+# the id names the one far condition, du/dt = 0
+@pytest.mark.parametrize("far_kind", ["zero-derivative"])
 def test_coupled_step_matches_sparse_lu(grid32, far_kind, splu_calls):
-    mats, nl, g, u_tau, far = coupled_problem(grid32, far_kind)
+    mats, nl, g, u_tau = coupled_problem(grid32)
     cg = CylinderGrid(0.0, 1.5, 48, 0.2)
-    system = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau, far)
+    system = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau)
     rng = np.random.default_rng(5)
     u = np.broadcast_to(u_tau.values, system.shape3).ravel() + 0.3 * rng.standard_normal(
         system.b.shape
@@ -379,13 +384,12 @@ def test_coupled_step_matches_sparse_lu(grid32, far_kind, splu_calls):
     assert splu_calls == []  # the Krylov path solved it
     assert rel_gap(dx, _factor_solve(system.jacobian(u), -r)) <= 1e-10
 
-    base = solve_truncated_bvp(grid32, cg, mats, nl, g, u_tau, far=far)
+    base = solve_truncated_bvp(grid32, cg, mats, nl, g, u_tau)
     xi = sine_field(grid32, [[1.0, 0.0], [0.0, -0.5]], k=2)
     del splu_calls[:]
-    v = variational_process(base, xi, mats, nl, far=far)
+    v = variational_process(base, xi, mats, nl)
     assert splu_calls == []
-    hom = Clamp(Field.zeros(grid32, 2)) if isinstance(far, Clamp) else far
-    ref_system = _SpaceTimeSystem(grid32, cg, mats, nl, zero_forcing(grid32, 2), xi, hom)
+    ref_system = _SpaceTimeSystem(grid32, cg, mats, nl, zero_forcing(grid32, 2), xi)
     rhs = np.zeros(ref_system.shape3)
     rhs[0] = xi.values
     ref = _factor_solve(ref_system.jacobian(base.values), rhs.ravel())
@@ -401,22 +405,21 @@ def test_scalar_window_needs_no_factorization(grid64, scalar_mats, chafee2, splu
     assert splu_calls == []
 
 
-def scalar_system(grid, far_kind, mats=None):
-    """k = 1 window with cubic f and periodic forcing; far kind by name."""
-    far = ZeroTimeDerivative() if far_kind == "zero-derivative" else Clamp(sine_field(grid, [0.2]))
+def scalar_system(grid, mats=None):
+    """k = 1 window with cubic f and periodic forcing."""
     g = Periodic(Field.zeros(grid), sine_field(grid, [0.5]), 1.0)
     return _SpaceTimeSystem(
         grid, CylinderGrid(0.0, 1.5, 48, 0.2), mats or CouplingMatrices.scalar(),
-        cubic_nonlinearity(2.0), g, sine_field(grid, [0.9, 0.2]), far,
+        cubic_nonlinearity(2.0), g, sine_field(grid, [0.9, 0.2]),
     )
 
 
-@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+@pytest.mark.parametrize("far_kind", ["zero-derivative"])
 def test_tridiagonal_mode_solve_matches_band_solve(grid32, far_kind):
     # the far-row operation and one tridiagonal solve of all modes give the
     # banded LU's answer; a and gamma away from 1 keep the weight nontrivial
     mats = CouplingMatrices(1, np.array([[1.3]]), np.array([[0.7]]))
-    system = scalar_system(grid32, far_kind, mats)
+    system = scalar_system(grid32, mats)
     band, kl, ku, cols = system._band, system._kl, system._ku, system._diag_cols
     rng = np.random.default_rng(3)
     fbar = rng.uniform(-3.0, 1.0, (system.m - 1, 1, 1))  # the mean f' varies per slice
@@ -430,9 +433,9 @@ def test_tridiagonal_mode_solve_matches_band_solve(grid32, far_kind):
     assert rel_gap(np.ravel(x), ref) <= 1e-13
 
 
-@pytest.mark.parametrize("far_kind", ["zero-derivative", "clamp"])
+@pytest.mark.parametrize("far_kind", ["zero-derivative"])
 def test_scalar_step_matches_sparse_lu(grid32, far_kind, splu_calls):
-    system = scalar_system(grid32, far_kind)
+    system = scalar_system(grid32)
     rng = np.random.default_rng(8)
     u_tau = system.b.reshape(system.shape3)[0]
     u = np.broadcast_to(u_tau, system.shape3).ravel() + 0.3 * rng.standard_normal(system.b.shape)
@@ -475,7 +478,7 @@ def test_failed_krylov_step_falls_back_to_sparse_lu(
     u_tau = sine_field(grid32, [0.9, 0.2])
     cg = CylinderGrid(0.0, 1.0, 40, 0.2)
     system = _SpaceTimeSystem(
-        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), u_tau, ZeroTimeDerivative()
+        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), u_tau
     )
     u = np.broadcast_to(u_tau.values, system.shape3).ravel().copy()
     r = system.residual(u)
@@ -547,8 +550,7 @@ def test_cached_operator_gives_the_cold_result(grid32, scalar_mats, chafee2, ope
 def test_cached_operator_is_read_only(grid32, scalar_mats, chafee2):
     cg = CylinderGrid(0.0, 1.0, 40, 0.2)
     system = _SpaceTimeSystem(
-        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), sine_field(grid32, [0.5]),
-        ZeroTimeDerivative(),
+        grid32, cg, scalar_mats, chafee2, zero_forcing(grid32), sine_field(grid32, [0.5])
     )
     lin = system.lin
     shared = [lin.data, lin.indices, lin.indptr, system._band, system._sine]
@@ -584,25 +586,19 @@ def test_threads_share_the_cached_operator(grid32, scalar_mats, chafee2, operato
 
 
 def test_coupled_operators_are_keyed_on_a_gamma_and_far(grid32, operator_builds):
-    mats, nl, g, u_tau, clamp = coupled_problem(grid32, "clamp")
+    # one far condition: a and gamma are the matrix part of the cache key
+    mats, nl, g, u_tau = coupled_problem(grid32)
     other_a = CouplingMatrices(2, mats.a + 0.1 * np.eye(2), mats.gamma)
     other_gamma = CouplingMatrices(2, mats.a, mats.gamma + 0.1 * np.eye(2))
     cg = CylinderGrid(0.0, 1.0, 32, 0.2)
-    zero_derivative = ZeroTimeDerivative()
-    systems = [
-        _SpaceTimeSystem(grid32, cg, m, nl, g, u_tau, far)
-        for m, far in (
-            (mats, zero_derivative), (other_a, zero_derivative),
-            (other_gamma, zero_derivative), (mats, clamp),
-        )
-    ]
-    assert operator_builds() == 4
+    systems = [_SpaceTimeSystem(grid32, cg, m, nl, g, u_tau) for m in (mats, other_a, other_gamma)]
+    assert operator_builds() == 3
     for i, x in enumerate(systems):
         for y in systems[i + 1 :]:
             assert (x.lin != y.lin).nnz > 0
-    again = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau, zero_derivative)
+    again = _SpaceTimeSystem(grid32, cg, mats, nl, g, u_tau)
     assert again.lin is systems[0].lin
-    assert operator_builds() == 4
+    assert operator_builds() == 3
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cylinderlab import (
     SlabOutOfRange,
     SpatialGrid,
     Trajectory,
-    ZeroTimeDerivative,
     cubic_nonlinearity,
     grad_cells,
     laplacian,
@@ -204,7 +203,7 @@ def linear_part(u: CylinderField, mats: CouplingMatrices) -> np.ndarray:
     k = mats.k
     system = _SpaceTimeSystem(
         u.sgrid, u.cgrid, mats, zero_nonlinearity(k), Constant(Field.zeros(u.sgrid, k)),
-        u.slice(0), ZeroTimeDerivative(),
+        u.slice(0),
     )
     out = (system.lin @ u.values.ravel()).reshape(system.shape3)
     out[0] = out[-1] = 0.0
