@@ -17,20 +17,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .elliptic import ProcessContext, _window_grid
+from .elliptic import ProcessContext, _window_grid, solve_periodic_bvp
 from .errors import (
     AverageNotConverged,
     EigenFailure,
     EmptyCloud,
     FixedPointDiverged,
     LabError,
+    NewtonDiverged,
     NonHyperbolicLimit,
     NonPositiveData,
     NotHyperbolic,
     ShapeMismatch,
+    SingularJacobian,
 )
 from .forcing import Constant, FastScaled, Forcing, forcing_mean, time_average
-from .model import CouplingMatrices, Field, Nonlinearity, Trajectory, sine_field
+from .model import CouplingMatrices, CylinderGrid, Field, Nonlinearity, Trajectory, sine_field
 from .newton import NewtonOptions, damped_newton
 from .parabolic import _BandedStepper
 
@@ -564,8 +566,10 @@ class PeriodicTrack:
 
 def newton_krylov(F, xin: np.ndarray, **options) -> np.ndarray:
     """scipy.optimize.newton_krylov, imported on the first call; its
-    NoConvergence surfaces as FixedPointDiverged.  A module function under
-    scipy's name, so that it can be replaced here."""
+    NoConvergence surfaces as FixedPointDiverged.  No program path calls
+    it: periodic tracking solves the time-periodic cylinder instead.  It
+    stays as the benchmark tracer's dynamics.fixed_point hook, which reads
+    0 until that hook moves to the periodic solve."""
     from scipy.optimize import NoConvergence, newton_krylov as solve
 
     try:
@@ -583,15 +587,20 @@ def track_periodic_solution(
 ) -> PeriodicTrack:
     """Fixed point of the period map of the eps-problem near record.z.
 
-    Periodic forcing runs Newton-Krylov on u -> U(period)(u) - u with
-    finite-difference Jacobian-vector products.  Forcing without a finite
-    period (quasiperiodic) falls back to long-run bounded tracking and
-    reports the recurrence gap instead of a fixed-point defect.
+    Periodic forcing: the fixed point is slice 0 of the periodic solution
+    of the eps-problem, found by one inexact Newton solve on the
+    time-periodic cylinder (solve_periodic_bvp) from the constant extension
+    of record.z; autonomous forcing counts as 1-periodic.  A far-margin
+    window from that slice over one period, warm-started by the periodic
+    slices, then gives the orbit and the period-map defect, which must stay
+    below 1e-6; periodic forcing needs eps > 0.  Forcing without a finite period (quasiperiodic) falls back
+    to long-run bounded tracking and reports the recurrence gap instead of
+    a fixed-point defect.
     """
     if not record.hyperbolic:
         raise NotHyperbolic("period map tracking needs a hyperbolic equilibrium")
     z = record.z
-    grid, k = z.grid, z.k
+    grid = z.grid
     ectx = replace(context, eps=eps, forcing=g)
     period = g.period
 
@@ -607,27 +616,21 @@ def track_periodic_solution(
 
     p_eff = period if period > 0 else 1.0
     dt, span = _window_grid(p_eff, ectx)
-    state = {"guess": None}
+    try:
+        periodic = solve_periodic_bvp(
+            grid, CylinderGrid(0.0, p_eff, span, eps), ectx.mats, ectx.nl, g, z, ectx.opts
+        )
+    except (NewtonDiverged, SingularJacobian) as exc:
+        raise FixedPointDiverged(f"period map Newton stalled near the equilibrium: {exc}") from exc
+    fixed = periodic.slice(0)
 
-    def period_map_values(u_vals: np.ndarray) -> np.ndarray:
-        sol = ectx._window(Field(grid, u_vals), 0.0, dt, span, state["guess"])
-        state["guess"] = sol.values
-        return sol.values[span]
-
-    def defect(u_flat: np.ndarray) -> np.ndarray:
-        return period_map_values(u_flat.reshape(grid.n_interior, k)).ravel() - u_flat
-
-    # f_tol is a max-norm bound; sqrt(length) converts it to the L2 target
-    f_tol = 1e-6 / math.sqrt(grid.length) * 0.5
-    u_star = newton_krylov(
-        defect, z.values.ravel().copy(), rdiff=1e-6, f_tol=f_tol, maxiter=40
-    ).reshape(grid.n_interior, k)
-    fixed = Field(grid, u_star)
-
-    final = ectx._window(fixed, 0.0, dt, span, state["guess"])
+    # the periodic slices, repeated over the far margin too, warm-start the
+    # window that checks them
+    cycle = np.arange(span + ectx.margin_steps(dt) + 1) % span
+    final = ectx._window(fixed, 0.0, dt, span, periodic.values[cycle])
     orbit_vals = final.values[: span + 1]
     orbit = Trajectory(grid, final.cgrid.times[: span + 1], orbit_vals)
-    residual = Field(grid, orbit_vals[-1] - u_star).l2()
+    residual = Field(grid, orbit_vals[-1] - fixed.values).l2()
     if residual > 1e-6:
         raise FixedPointDiverged(f"period map defect {residual:.3e} above 1e-6")
     devs = np.sqrt(grid.h * np.sum((orbit_vals - z.values) ** 2, axis=(1, 2)))

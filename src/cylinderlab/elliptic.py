@@ -23,6 +23,14 @@ preconditioner band and the index maps depend on the window shape only;
 they are built once per shape, cached and shared read-only, so a window
 builds only its right-hand side.
 
+The time-periodic cylinder (solve_periodic_bvp) needs no initial slice and
+no far condition: its unknowns are one period of slices, and every row is
+the centered PDE row with the time index taken mod the period.  Its
+preconditioner replaces f' by its mean over x and t, which a DST-I in x and
+an rfft in t diagonalize exactly into one k x k symbol per sine mode and
+frequency.  Newton, the GMRES tolerances and the sparse LU fallback are
+those of the truncated window.
+
 At eps = 0 the time-second-derivative block vanishes and the problem is an
 initial-value problem: every eps = 0 call runs the parabolic
 semigroup_evolve on -g (the elliptic convention puts g on the right-hand
@@ -96,8 +104,54 @@ def default_dt(eps: float) -> float:
 
 
 # window shapes whose space-time operators stay cached: an evolve uses two
-# per eps (full windows and a partial last one), a period-map sweep one
+# per eps (full windows and a partial last one), a periodic track one
 _OPERATOR_CACHE = 8
+
+
+def _pde_part(sgrid, dt, eps, a, gam, rows, size):
+    """Pieces both cylinder operators share, for the PDE rows at the time
+    slices rows of a size-slice layout, each reading slices rows - 1, rows
+    and rows + 1 mod size: the linear part of those rows, a (eps^2 u_tt +
+    u_xx) - gamma u_t by centered differences (sparse, unknowns ordered
+    (slice, node, component)); the orthonormal DST-I as an n x n matrix;
+    the Dirichlet Laplacian's eigenvalues on the sine modes; and the
+    row/column pattern of the f' blocks on those rows, (j, i, c, d) order.
+    """
+    # imported here, not at module level: an eps = 0 run never builds a
+    # space-time operator and so never pays for scipy.sparse and scipy.fft
+    import scipy.sparse as sp
+    from scipy.fft import dst
+
+    n, h, k = sgrid.n_interior, sgrid.h, a.shape[0]
+    one = np.ones(len(rows))
+    prev, nxt = (rows - 1) % size, (rows + 1) % size
+
+    def stencil(*terms):
+        """Time stencil of the rows from (weight, columns) terms."""
+        return sp.coo_matrix(
+            (
+                np.concatenate([w * one for w, _ in terms]),
+                (np.tile(rows, len(terms)), np.concatenate([c for _, c in terms])),
+            ),
+            shape=(size, size),
+        )
+
+    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+    eye_n = sp.identity(n)
+    a_sp, gam_sp = sp.csr_matrix(a), sp.csr_matrix(gam)
+    lin = (
+        (eps**2 / dt**2)
+        * sp.kron(stencil((1.0, prev), (-2.0, rows), (1.0, nxt)), sp.kron(eye_n, a_sp))
+        + sp.kron(stencil((1.0, rows)), sp.kron(lap, a_sp))
+        - (1.0 / dt) * sp.kron(stencil((-0.5, prev), (0.5, nxt)), sp.kron(eye_n, gam_sp))
+    )
+    # for the grids in use one product with the DST-I matrix is cheaper
+    # than per-slice transforms
+    sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
+    lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
+    jj, ii, cc, dd = np.meshgrid(rows, np.arange(n), np.arange(k), np.arange(k), indexing="ij")
+    base = jj * (n * k) + ii * k
+    return lin, sine, lam, (base + cc).ravel(), (base + dd).ravel()
 
 
 @functools.lru_cache(maxsize=_OPERATOR_CACHE)
@@ -117,41 +171,13 @@ def _space_time_operator(
     the PDE rows with a acting through eps^2/dt^2 and the eigenvalue,
     gamma/(2dt), and the far row.  Mode p owns rows p(m+1)k ... (p+1)(m+1)k - 1.
     """
-    # imported here, not at module level: an eps = 0 run never builds a
-    # space-time operator and so never pays for scipy.sparse and scipy.fft
     import scipy.sparse as sp
-    from scipy.fft import dst
 
-    n, h = sgrid.n_interior, sgrid.h
+    n = sgrid.n_interior
     a = np.frombuffer(a_bytes).reshape(k, k)
     gam = np.frombuffer(gamma_bytes).reshape(k, k)
-
-    rows = np.arange(1, m)
-    one = np.ones(m - 1)
+    lin, sine, lam, jac_rows, jac_cols = _pde_part(sgrid, dt, eps, a, gam, np.arange(1, m), m + 1)
     sz = (m + 1, m + 1)
-    t2 = sp.coo_matrix(
-        (
-            np.concatenate([one, -2.0 * one, one]),
-            (np.tile(rows, 3), np.concatenate([rows - 1, rows, rows + 1])),
-        ),
-        shape=sz,
-    )
-    t1 = sp.coo_matrix(
-        (
-            np.concatenate([-0.5 * one, 0.5 * one]),
-            (np.tile(rows, 2), np.concatenate([rows - 1, rows + 1])),
-        ),
-        shape=sz,
-    )
-    t0 = sp.coo_matrix((one, (rows, rows)), shape=sz)
-    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
-    eye_n = sp.identity(n)
-    a_sp, gam_sp = sp.csr_matrix(a), sp.csr_matrix(gam)
-    lin = (
-        (eps**2 / dt**2) * sp.kron(t2, sp.kron(eye_n, a_sp))
-        + sp.kron(t0, sp.kron(lap, a_sp))
-        - (1.0 / dt) * sp.kron(t1, sp.kron(eye_n, gam_sp))
-    )
     e0 = sp.coo_matrix(([1.0], ([0], [0])), shape=sz)
     lin = lin + sp.kron(e0, sp.identity(n * k))
     c = 0.5 / dt
@@ -160,7 +186,6 @@ def _space_time_operator(
 
     kl, ku = 2 * k, 2 * k - 1  # the far row reaches back two slices
     band = np.zeros((2 * kl + ku + 1, n * (m + 1) * k), order="F")
-    lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
     modes = np.arange(n)[:, None]
     inner = np.arange(1, m)[None, :]
 
@@ -180,19 +205,39 @@ def _space_time_operator(
             put(m, shift, c, c, w * 0.5 / dt)
     # columns of the PDE rows' diagonal blocks, where -mean f' goes
     diag_cols = tuple((modes * (m + 1) + inner) * k + d for d in range(k))
-    # the orthonormal DST-I as an n x n matrix: for the grids in use one
-    # matrix product is cheaper than per-slice transforms
-    sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
-
-    # index pattern of the f' blocks on the PDE rows, (j, i, c, d) order
-    jj, ii, cc, dd = np.meshgrid(
-        np.arange(1, m), np.arange(n), np.arange(k), np.arange(k), indexing="ij"
-    )
-    base = jj * (n * k) + ii * k
-    jac_rows, jac_cols = (base + cc).ravel(), (base + dd).ravel()
     for arr in (lin.data, lin.indices, lin.indptr, band, sine, jac_rows, jac_cols, *diag_cols):
         arr.setflags(write=False)
     return lin, band, kl, ku, diag_cols, sine, jac_rows, jac_cols
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def _periodic_operator(
+    sgrid: SpatialGrid, m: int, dt: float, eps: float, k: int,
+    a_bytes: bytes, gamma_bytes: bytes,
+):
+    """Shape-only part of a _PeriodicSystem, shared read-only: the linear
+    part (CSR), the time symbols, the DST-I matrix and the row/column
+    pattern of the f' blocks.
+
+    The DST-I in x and the DFT in t diagonalize the linear part: on sine
+    mode p (Laplacian eigenvalue lam_p) and rfft frequency q, theta =
+    2 pi q / m, it acts as the k x k symbol
+    eps^2/dt^2 (2 cos theta - 2) a + lam_p a - i sin theta gamma / dt,
+    stacked as (n, m // 2 + 1, k, k).
+    """
+    a = np.frombuffer(a_bytes).reshape(k, k)
+    gam = np.frombuffer(gamma_bytes).reshape(k, k)
+    lin, sine, lam, jac_rows, jac_cols = _pde_part(sgrid, dt, eps, a, gam, np.arange(m), m)
+    lin = lin.tocsr()
+    theta = 2.0 * math.pi * np.arange(m // 2 + 1) / m
+    symbol = (
+        ((eps**2 / dt**2) * (2.0 * np.cos(theta) - 2.0))[None, :, None, None] * a
+        + lam[:, None, None, None] * a
+        - (1j * np.sin(theta) / dt)[None, :, None, None] * gam
+    )
+    for arr in (lin.data, lin.indices, lin.indptr, symbol, sine, jac_rows, jac_cols):
+        arr.setflags(write=False)
+    return lin, symbol, sine, jac_rows, jac_cols
 
 
 class _SpaceTimeSystem:
@@ -200,8 +245,8 @@ class _SpaceTimeSystem:
     part, Jacobian pattern, preconditioner band) and its own right-hand side.
 
     Unknowns are ordered (time slice, space node, component); rows are the
-    initial condition (j=0), the PDE at interior slices, and the far
-    condition du/dt = 0 (j=m).
+    initial condition (j=0), the PDE at interior slices (the slices pde),
+    and the far condition du/dt = 0 (j=m).
     """
 
     def __init__(
@@ -223,6 +268,7 @@ class _SpaceTimeSystem:
             raise ShapeMismatch("u_tau does not match the declared grids")
         self.shape3 = (m + 1, n, k)
         self.m, self.n, self.k = m, n, k
+        self.pde = slice(1, m)
         self.nl = nl
         (
             self.lin, self._band, self._kl, self._ku, self._diag_cols, self._sine,
@@ -238,17 +284,14 @@ class _SpaceTimeSystem:
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         r = self.lin @ u - self.b
-        v = u.reshape(self.shape3)
-        r3 = r.reshape(self.shape3)
-        r3[1 : self.m] -= self.nl.f(v[1 : self.m])
+        r.reshape(self.shape3)[self.pde] -= self.nl.f(u.reshape(self.shape3)[self.pde])
         return r
 
     def jacobian(self, values: np.ndarray) -> sp.csc_matrix:
         """Linear part minus the f' blocks evaluated on the PDE slices of values."""
         import scipy.sparse as sp
 
-        v = values.reshape(self.shape3)
-        vals = self.nl.jac_f(v[1 : self.m]).ravel()
+        vals = self.nl.jac_f(values.reshape(self.shape3)[self.pde]).ravel()
         nuk = self.lin.shape[0]
         bump = sp.coo_matrix((vals, (self._jac_rows, self._jac_cols)), shape=(nuk, nuk))
         return (self.lin - bump).tocsc()
@@ -259,35 +302,95 @@ class _SpaceTimeSystem:
         """x with J(values) x = rhs, J the Jacobian at values, to the
         relative tolerance rtol.
 
-        GMRES preconditioned by the stacked mode operators with f' replaced
-        by its mean over x; if a mode is singular, GMRES fails, or the true
-        residual misses the bound (scaled with rtol), the sparse LU of J
-        solves instead.
+        GMRES preconditioned by the linear part with f' replaced by a mean
+        (_preconditioner); if that operator is singular, GMRES fails, or the
+        true residual misses the bound (scaled with rtol), the sparse LU of
+        J solves instead.
         """
-        m, n, k = self.m, self.n, self.k
-        shape3 = self.shape3
-        fp = self.nl.jac_f(values.reshape(shape3)[1:m])  # (m-1, n, k, k)
-        mode_solve = _mode_solver(self._band, self._kl, self._ku, self._diag_cols, fp.mean(axis=1))
+        shape3, pde = self.shape3, self.pde
+        fp = self.nl.jac_f(values.reshape(shape3)[pde])
+        precondition = self._preconditioner(fp)
 
         def apply(x):
             y = self.lin @ x
-            y.reshape(shape3)[1:m] -= np.einsum("jicd,jid->jic", fp, x.reshape(shape3)[1:m])
+            y.reshape(shape3)[pde] -= np.einsum("jicd,jid->jic", fp, x.reshape(shape3)[pde])
             return y
 
-        def precondition(y):
-            # to sine modes, mode-major, by one product with the DST-I matrix
-            # (its own inverse), then the mode solve, then back
-            z = self._sine @ y.reshape(shape3).transpose(1, 0, 2).reshape(n, -1)
-            z = self._sine @ mode_solve(z).reshape(n, -1)
-            return z.reshape(n, m + 1, k).transpose(1, 0, 2).ravel()
-
-        if mode_solve is not None:
+        if precondition is not None:
             x, r, converged = _gmres(apply, precondition, rhs, rtol)
             if converged and np.all(np.isfinite(x)):
                 check = _KRYLOV_CHECK * (rtol / _KRYLOV_RTOL)
                 if np.max(np.abs(r)) <= check * np.max(np.abs(rhs)):
                     return x
         return _factor_solve(self.jacobian(values), rhs)
+
+    def _preconditioner(self, fp: np.ndarray):
+        """The stacked mode operators with f' replaced by its mean over x on
+        each PDE slice, as a map of flat vectors; None if a mode is singular."""
+        m, n, k = self.m, self.n, self.k
+        mode_solve = _mode_solver(self._band, self._kl, self._ku, self._diag_cols, fp.mean(axis=1))
+        if mode_solve is None:
+            return None
+
+        def precondition(y):
+            # to sine modes, mode-major, by one product with the DST-I matrix
+            # (its own inverse), then the mode solve, then back
+            z = self._sine @ y.reshape(self.shape3).transpose(1, 0, 2).reshape(n, -1)
+            z = self._sine @ mode_solve(z).reshape(n, -1)
+            return z.reshape(n, m + 1, k).transpose(1, 0, 2).ravel()
+
+        return precondition
+
+
+class _PeriodicSystem(_SpaceTimeSystem):
+    """The time-periodic cylinder: unknowns are the slices t_j = tau + j dt,
+    j = 0 ... m - 1, and every row is the centered PDE row of
+    _SpaceTimeSystem with the time index taken mod m.  There is no initial
+    and no far row: a solution is a bounded, m-step periodic solution of the
+    discrete eps-problem."""
+
+    def __init__(
+        self,
+        sgrid: SpatialGrid,
+        cgrid: CylinderGrid,
+        mats: CouplingMatrices,
+        nl: Nonlinearity,
+        g: Forcing,
+    ):
+        m, n, k = cgrid.m_steps, sgrid.n_interior, mats.k
+        if mats.k != nl.k:
+            raise ShapeMismatch(f"matrix k={mats.k} vs nonlinearity k={nl.k}")
+        self.shape3 = (m, n, k)
+        self.m, self.n, self.k = m, n, k
+        self.pde = slice(0, m)
+        self.nl = nl
+        self.lin, self._symbol, self._sine, self._jac_rows, self._jac_cols = _periodic_operator(
+            sgrid, m, cgrid.dt, cgrid.eps, k, mats.a.tobytes(), mats.gamma.tobytes()
+        )
+        self.b = g.window(cgrid.times[:m]).ravel()
+
+    def _preconditioner(self, fp: np.ndarray):
+        """The linear part with f' replaced by its mean over x and t, solved
+        exactly: DST-I in x, rfft in t, a k x k solve per (mode, frequency)
+        and back.  None if a symbol is singular."""
+        from scipy.fft import irfft, rfft
+
+        m, n, k = self.shape3
+        try:
+            inverse = np.linalg.inv(self._symbol - fp.mean(axis=(0, 1)))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(inverse)):
+            return None
+
+        def precondition(y):
+            z = self._sine @ y.reshape(m, n, k).transpose(1, 0, 2).reshape(n, -1)
+            zh = rfft(z.reshape(n, m, k), axis=1)
+            z = irfft(np.einsum("pqcd,pqd->pqc", inverse, zh), n=m, axis=1)
+            z = self._sine @ z.reshape(n, -1)
+            return z.reshape(n, m, k).transpose(1, 0, 2).ravel()
+
+        return precondition
 
 
 def _forcing_term(norm: float, previous: float | None) -> float:
@@ -421,8 +524,8 @@ def solve_truncated_bvp(
     """Solve the truncated cylinder problem; initial slice is met exactly.
 
     The optional guess (same shape as the unknowns) warm-starts Newton;
-    default is the constant-in-time extension of u_tau.  Each Newton step
-    runs GMRES to its forcing term (_forcing_term), not to _KRYLOV_RTOL.
+    default is the constant-in-time extension of u_tau.  Newton is inexact
+    (_inexact_newton).
     """
     opts = opts or NewtonOptions()
     if cgrid.eps == 0.0:
@@ -435,6 +538,42 @@ def solve_truncated_bvp(
     else:
         u0 = np.asarray(guess, dtype=float).reshape(-1).copy()
         u0[: sgrid.n_interior * mats.k] = u_tau.values.ravel()
+    u = _inexact_newton(system, u0, opts)
+    vals = u.reshape(system.shape3)
+    vals[0] = u_tau.values  # exact by the identity row; rewrite to kill round-off
+    return CylinderField(sgrid, cgrid, vals)
+
+
+def solve_periodic_bvp(
+    sgrid: SpatialGrid,
+    cgrid: CylinderGrid,
+    mats: CouplingMatrices,
+    nl: Nonlinearity,
+    g: Forcing,
+    u_guess: Field,
+    opts: NewtonOptions | None = None,
+) -> CylinderField:
+    """The cgrid.t_len-periodic solution of the eps-problem on the cylinder
+    (_PeriodicSystem), by inexact Newton from the constant-in-time
+    extension of u_guess.
+
+    g must be t_len-periodic; the solution is the bounded one that Newton
+    reaches, not the one of an initial slice.  Its m_steps + 1 slices end
+    in the wrap slice, a copy of slice 0.  Needs eps > 0.
+    """
+    if cgrid.eps == 0.0:
+        raise ValueError("the periodic cylinder problem needs eps > 0")
+    if u_guess.grid != sgrid or u_guess.k != mats.k:
+        raise ShapeMismatch("u_guess does not match the declared grids")
+    system = _PeriodicSystem(sgrid, cgrid, mats, nl, g)
+    u0 = np.broadcast_to(u_guess.values, system.shape3).ravel().copy()
+    vals = _inexact_newton(system, u0, opts or NewtonOptions()).reshape(system.shape3)
+    return CylinderField(sgrid, cgrid, np.concatenate([vals, vals[:1]]))
+
+
+def _inexact_newton(system: _SpaceTimeSystem, u0: np.ndarray, opts: NewtonOptions) -> np.ndarray:
+    """Damped Newton on system from u0; each step runs GMRES to its forcing
+    term (_forcing_term), not to _KRYLOV_RTOL."""
     previous = None  # sup norm of the residual the last step started from
 
     def inexact_step(u: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -445,9 +584,7 @@ def solve_truncated_bvp(
         return system.solve(u, -r, eta)
 
     u, _ = damped_newton(u0, system.residual, inexact_step, opts)
-    vals = u.reshape(system.shape3)
-    vals[0] = u_tau.values  # exact by the identity row; rewrite to kill round-off
-    return CylinderField(sgrid, cgrid, vals)
+    return u
 
 
 @dataclass(frozen=True)

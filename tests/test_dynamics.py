@@ -632,6 +632,36 @@ def test_tracking_quasiperiodic_stays_bounded(cloud48, grid48, scalar_mats):
     assert math.isfinite(track.residual)
 
 
+def test_tracking_coupled_system(grid32):
+    # k = 2 with coupled diffusion: the k x k symbol solves of the periodic
+    # preconditioner, then the banded far-margin window that checks them
+    mats = CouplingMatrices(2, np.array([[1.0, 0.2], [0.2, 1.5]]), np.eye(2))
+    nl = cubic_nonlinearity(2.0, k=2)
+    records = find_equilibria(mats, nl, Field.zeros(grid32, 2), rng=np.random.default_rng(0))
+    stable = [r for r in records if r.hyperbolic and r.index == 0][0]
+    per = Periodic(Field.zeros(grid32, 2), sine_field(grid32, [[0.3, -0.2]], k=2), 1.0)
+    ctx = ProcessContext(grid32, mats, nl, Constant(Field.zeros(grid32, 2)), eps=0.1)
+    track = track_periodic_solution(stable, FastScaled(per, 0.1), 0.1, ctx)
+    assert track.mode == "fixed-point"
+    assert track.residual <= 1e-9
+
+
+def test_tracking_in_the_papers_setting():
+    # c08's problem with its forcing unscaled (period 2 pi) at eps 0.2, from
+    # the origin: a whole-period window from a constant guess stalled there,
+    # the periodic cylinder converges
+    grid = SpatialGrid(PI, 64)
+    nl = cubic_nonlinearity(2.0)
+    mats = CouplingMatrices.scalar()
+    g = Periodic(Field.zeros(grid), sine_field(grid, [0.5]), 1.0)
+    records = find_equilibria(mats, nl, Field.zeros(grid), rng=np.random.default_rng(8))
+    origin = [r for r in records if r.index == 1][0]
+    ctx = ProcessContext(grid, mats, nl, g, eps=0.2)
+    track = track_periodic_solution(origin, g, 0.2, ctx)
+    assert track.mode == "fixed-point"
+    assert track.residual <= 1e-9
+
+
 def test_tracking_requires_hyperbolic(lam1_origin, grid128, scalar_mats):
     origin, nl = lam1_origin
     ctx = ProcessContext(grid128, scalar_mats, nl, Constant(Field.zeros(grid128)), eps=0.0)
@@ -642,16 +672,14 @@ def test_tracking_requires_hyperbolic(lam1_origin, grid128, scalar_mats):
 def test_stalled_period_map_newton_is_fixed_point_diverged(
     cloud48, grid48, scalar_mats, tmp_path, monkeypatch
 ):
-    # scipy's newton_krylov gives up with NoConvergence: tracking raises the
-    # library's FixedPointDiverged, and a periodic-orbit cell reports it
-    import scipy.optimize
+    # Newton on the periodic cylinder stalls: tracking raises the library's
+    # FixedPointDiverged, and a periodic-orbit cell reports it
+    from cylinderlab import FixedPointDiverged, NewtonDiverged, load_config, run
 
-    from cylinderlab import FixedPointDiverged, load_config, run
+    def stalled(*args, **kwargs):
+        raise NewtonDiverged("no convergence in 25 iterations, residual 4.980e-01", [1.0, 0.498])
 
-    def stalled(F, xin, **options):
-        raise scipy.optimize.NoConvergence(xin)
-
-    monkeypatch.setattr(scipy.optimize, "newton_krylov", stalled)
+    monkeypatch.setattr(dynamics, "solve_periodic_bvp", stalled)
     records, nl, _, _ = cloud48
     plus = [r for r in records if r.index == 0 and float(np.sum(r.z.values)) > 0][0]
     ctx = ProcessContext(

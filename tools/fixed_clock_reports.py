@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 USAGE = "usage: python3 tools/fixed_clock_reports.py OUT_DIR [CONFIG ...]"
-PRELOAD = ("scipy.sparse.linalg", "scipy.fft", "scipy.spatial.distance", "scipy.optimize")
+PRELOAD = ("scipy.sparse.linalg", "scipy.fft", "scipy.spatial.distance")
 
 
 def main(argv=None) -> int:
