@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CloudParams
+from .dynamics import TRACK_STRIDE, CloudParams
 from .errors import ParseError, ValidationError
 from .forcing import Constant, FastScaled, Forcing, Heteroclinic, Patchwork, Periodic, Quasiperiodic
 from .model import (
@@ -340,10 +340,19 @@ def _t_check_within_t_len(p, tol):
         _fail("params.t_check", f"must not exceed t_len {p['t_len']:g}")
 
 
+def _off_grid(span: float, stride: float) -> bool:
+    return abs(span / stride - round(span / stride)) > 1e-9
+
+
 def _spans_fit_stride(p, tol):
     for key in ("t_end", "t_grow"):
-        if key in p and abs(p[key] / p["stride"] - round(p[key] / p["stride"])) > 1e-9:
+        if key in p and _off_grid(p[key], p["stride"]):
             _fail(f"params.{key}", f"must be a multiple of stride {p['stride']:g}")
+
+
+def _t_track_fits_stride(p, tol):
+    if _off_grid(p["t_track"], TRACK_STRIDE):
+        _fail("params.t_track", f"must be a multiple of the tracking stride {TRACK_STRIDE:g}")
 
 
 def _one_distance_per_eps(p, tol):
@@ -421,7 +430,7 @@ SCHEMAS = {
     ),
     "periodic-orbit": Schema(
         {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)},
-        eps_list=1, eps_positive=True,
+        eps_list=1, eps_positive=True, rules=(_t_track_fits_stride,),
     ),
     "synthetic-power-law": Schema(
         {"eps": (_reals(3, positive=True), _REQUIRED),

@@ -43,6 +43,9 @@ NU_MIN = 1e-4
 DEDUP_TOL = 1e-4
 # window doublings averaging_experiment tries before the mean counts as unsettled
 _MAX_DOUBLINGS = 8
+# slice spacing of bounded tracking (forcing without a finite period); a
+# track's t_track must be a multiple of it
+TRACK_STRIDE = 0.25
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class SpectralSplit:
 @dataclass(frozen=True)
 class PointCloud:
     points: tuple
-    meta: dict
 
     def __post_init__(self):
         for p in self.points:
@@ -110,21 +112,20 @@ def find_equilibria(
     nl: Nonlinearity,
     gbar: Field,
     seed_count: int = 12,
-    deflation: bool = True,
     rng=None,
 ) -> list[EquilibriumRecord]:
     """All roots of a z_xx - f(z) + gbar = 0 reachable from the seed net.
 
     Structured seeds cover low sine modes at several amplitudes; seed_count
-    random smooth fields are added on top.  With deflation on, residuals
-    are multiplied by prod(1 + 1/||z - z_i||^2) over found roots so Newton
-    is repelled from them; every candidate is re-polished undeflated.
+    random smooth fields are added on top.  Residuals are multiplied by
+    prod(1 + 1/||z - z_i||^2) over found roots so Newton is repelled from
+    them; every candidate is re-polished undeflated.
 
     Newton runs on the stack of all seeds at once (_deflated_newton), and
     the candidates are taken in seed order.  The first seed whose candidate
-    adds a root ends that run; with deflation on, the seeds after it start
-    again from their seeds against the larger root set.  So each seed meets
-    exactly the roots of the seeds before it, as if the seeds ran one by one.
+    adds a root ends that run; the seeds after it start again from their
+    seeds against the larger root set.  So each seed meets exactly the
+    roots of the seeds before it, as if the seeds ran one by one.
     """
     grid = gbar.grid
     if gbar.k != mats.k:
@@ -140,7 +141,7 @@ def find_equilibria(
     roots: list[np.ndarray] = []
     while len(todo):
         taken = 0
-        for cand in _deflated_newton(todo, res, stepper, roots if deflation else [], h):
+        for cand in _deflated_newton(todo, res, stepper, roots, h):
             taken += 1
             if cand is None:
                 continue
@@ -155,8 +156,7 @@ def find_equilibria(
             if any(_l2_gap(cand, z, h) <= DEDUP_TOL for z in roots):
                 continue
             roots.append(cand)
-            if deflation:
-                break
+            break
         todo = todo[taken:]
 
     records = [spectral_analyze(Field(grid, z), mats, nl) for z in roots]
@@ -402,15 +402,7 @@ def sample_attractor(
         for _ in seeds:
             ray = next(members)
             points.extend(ray.field(j) for j in range(ray.times.shape[0]))
-    meta = {
-        "source": "attractor",
-        "eps": context.eps,
-        "n_rays": params.n_rays,
-        "t_grow": params.t_grow,
-        "stride": params.stride,
-        "equilibria": len(equilibria),
-    }
-    return PointCloud(tuple(points), meta)
+    return PointCloud(tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +585,10 @@ def track_periodic_solution(
     of record.z; autonomous forcing counts as 1-periodic.  A far-margin
     window from that slice over one period, warm-started by the periodic
     slices, then gives the orbit and the period-map defect, which must stay
-    below 1e-6; periodic forcing needs eps > 0.  Forcing without a finite period (quasiperiodic) falls back
-    to long-run bounded tracking and reports the recurrence gap instead of
-    a fixed-point defect.
+    below 1e-6; periodic forcing needs eps > 0.  Forcing without a finite
+    period (quasiperiodic) falls back to long-run bounded tracking, sliced
+    every TRACK_STRIDE, and reports the recurrence gap instead of a
+    fixed-point defect.
     """
     if not record.hyperbolic:
         raise NotHyperbolic("period map tracking needs a hyperbolic equilibrium")
@@ -605,7 +598,7 @@ def track_periodic_solution(
     period = g.period
 
     if period is None:
-        traj = ectx.evolve(z, 0.0, t_track, 0.25)
+        traj = ectx.evolve(z, 0.0, t_track, TRACK_STRIDE)
         devs = np.sqrt(grid.h * np.sum((traj.values - z.values) ** 2, axis=(1, 2)))
         tail = traj.values[-1]
         early = traj.values[traj.times <= traj.times[-1] - 1.0]

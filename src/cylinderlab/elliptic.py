@@ -590,9 +590,9 @@ def _inexact_newton(system: _SpaceTimeSystem, u0: np.ndarray, opts: NewtonOption
 @dataclass(frozen=True)
 class ProcessContext:
     """Everything a solving-process evaluation needs besides the data slice,
-    for every eps >= 0: at eps = 0 map and evolve run the limit semigroup
-    driven by -forcing, so the dynamics layer treats the limit flow as one
-    more process.
+    for every eps >= 0: at eps = 0 process_map and evolve run the limit
+    semigroup driven by -forcing, so the dynamics layer treats the limit
+    flow as one more process.
     """
 
     sgrid: SpatialGrid
@@ -648,9 +648,6 @@ class ProcessContext:
         mu = min(lam1 * a + self.nl.k_mono, 2.0 * big)
         r = float(np.max(np.abs(np.roots([big - b, mu - 2.0 * big, big + b]))))
         return min(cap, max(1, math.ceil(math.log(1.0 / _MARGIN_TOL) / math.log(r))))
-
-    def map(self, u0: Field, tau: float, t: float) -> Field:
-        return process_map(u0, tau, t, self)
 
     def evolve(
         self, u0: Field | Sequence[Field], tau: float, t_end: float, stride: float

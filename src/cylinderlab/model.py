@@ -186,14 +186,6 @@ class CylinderField:
     def slice(self, j: int) -> Field:
         return Field(self.sgrid, self.values[j])
 
-    def slice_at(self, t: float, tol: float = 1e-9) -> Field:
-        j = int(round((t - self.cgrid.tau) / self.cgrid.dt))
-        if not (0 <= j <= self.cgrid.m_steps):
-            raise SlabOutOfRange(f"time {t} outside cylinder")
-        if abs(self.cgrid.tau + j * self.cgrid.dt - t) > tol * max(1.0, abs(t)):
-            raise SlabOutOfRange(f"time {t} does not land on the grid")
-        return self.slice(j)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -217,12 +209,6 @@ class Trajectory:
 
     def field(self, j: int) -> Field:
         return Field(self.grid, self.values[j])
-
-    def at_time(self, t: float, tol: float = 1e-8) -> Field:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > tol * max(1.0, abs(t)):
-            raise SlabOutOfRange(f"time {t} not sampled in trajectory")
-        return self.field(j)
 
 
 @dataclass(frozen=True)
@@ -285,14 +271,6 @@ class CouplingMatrices:
         object.__setattr__(self, "a", _lock(a))
         object.__setattr__(self, "gamma", _lock(g))
 
-    @property
-    def a_plus(self) -> np.ndarray:
-        return 0.5 * (self.a + self.a.T)
-
-    @property
-    def a_minus(self) -> np.ndarray:
-        return 0.5 * (self.a - self.a.T)
-
     @staticmethod
     def scalar(a: float = 1.0, gamma: float = 1.0) -> "CouplingMatrices":
         return CouplingMatrices(1, np.array([[a]]), np.array([[gamma]]))
@@ -306,8 +284,7 @@ class Nonlinearity:
     jac_f maps (..., k) -> (..., k, k).  potential_F, when present, maps
     (..., k) -> (...) and satisfies f = grad potential_F.
 
-    c_diss bounds f(v).v >= -c_diss, k_mono bounds sym(jac_f) >= -k_mono I,
-    growth_q is the polynomial growth exponent.
+    c_diss bounds f(v).v >= -c_diss, k_mono bounds sym(jac_f) >= -k_mono I.
     """
 
     k: int
@@ -315,7 +292,6 @@ class Nonlinearity:
     jac_f: Callable[[np.ndarray], np.ndarray]
     c_diss: float
     k_mono: float
-    growth_q: float
     potential_F: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "custom"
 
@@ -347,7 +323,6 @@ def cubic_nonlinearity(lam: float, k: int = 1) -> Nonlinearity:
         jac_f=jac,
         c_diss=k * max(lam, 0.0) ** 2 / 4.0,
         k_mono=max(lam, 0.0),
-        growth_q=3.0,
         potential_F=pot,
         name=f"cubic(lam={lam})",
     )
@@ -367,7 +342,7 @@ def zero_nonlinearity(k: int = 1) -> Nonlinearity:
         v = np.asarray(v, dtype=float)
         return np.zeros(v.shape[:-1])
 
-    return Nonlinearity(k, f, jac, 0.0, 0.0, 1.0, pot, name="zero")
+    return Nonlinearity(k, f, jac, 0.0, 0.0, pot, name="zero")
 
 
 def linear_nonlinearity(c: float, k: int = 1) -> Nonlinearity:
@@ -386,7 +361,7 @@ def linear_nonlinearity(c: float, k: int = 1) -> Nonlinearity:
     def pot(v):
         return np.sum(c * v**2 / 2.0, axis=-1)
 
-    return Nonlinearity(k, f, jac, 0.0, max(0.0, -c), 1.0, pot, name=f"linear(c={c})")
+    return Nonlinearity(k, f, jac, 0.0, max(0.0, -c), pot, name=f"linear(c={c})")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .dynamics import (
 )
 from .elliptic import (
     ProcessContext,
+    _window_grid,
     default_dt,
     regularity_probe,
     solve_truncated_bvp,
@@ -80,7 +81,7 @@ def _exp_solve(config: ExperimentConfig, report: Report):
     t_len, u0 = p["t_len"], p["u0"]
 
     if config.kind == "solve-parabolic":
-        m = p["m_steps"] or max(1, round(t_len / 1e-3))
+        m = p["m_steps"] or max(1, round(t_len / default_dt(0.0)))
         traj = semigroup_evolve(u0, t_len, StepOptions(dt=t_len / m), mats, nl, g)
         times, values = traj.times, traj.values
     else:
@@ -300,18 +301,16 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
 
     ctx = ProcessContext(grid, mats, nl, g, 0.0)
     traj_e = ctx.evolve(u0, 0.0, t_end, p["stride"])
-    traj_p = semigroup_evolve(
-        u0, t_end, StepOptions(dt=ctx.dt_target), mats, nl, -g
-    )
+    # the reference steps on evolve's grid, so slice j is its step j * spw
+    dt, spw = _window_grid(p["stride"], ctx)
+    traj_p = semigroup_evolve(u0, t_end, StepOptions(dt=dt), mats, nl, -g)
 
     table = report.table("slice-gap", ["t", "rel_gap"])
     worst, worst_row = -1.0, 0
     for j in range(traj_e.times.shape[0]):
-        t = float(traj_e.times[j])
-        jp = int(np.argmin(np.abs(traj_p.times - t)))
-        ref = max(_l2(grid, traj_p.values[jp]), 1e-30)
-        gap = _l2(grid, traj_e.values[j] - traj_p.values[jp]) / ref
-        row = table.add(t, gap)
+        ref_vals = traj_p.values[j * spw]
+        gap = _l2(grid, traj_e.values[j] - ref_vals) / max(_l2(grid, ref_vals), 1e-30)
+        row = table.add(float(traj_e.times[j]), gap)
         if gap > worst:
             worst, worst_row = gap, row
     report.verdict(

@@ -446,10 +446,16 @@ def test_scalar_params_type_and_range(tmp_path):
     assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2, 0.1]
 
 
-def test_params_rules_across_keys(tmp_path):
+def test_params_rules_across_keys(tmp_path, capsys):
     modal = {"kind": "solve-elliptic", "experiment": "modal-decay", "eps_list": [0.1]}
     traj = {"kind": "converge", "experiment": "trajectory-rate", "eps_list": [0.4, 0.2, 0.1]}
     sweep = {"kind": "attractor", "experiment": "distance-sweep", "eps_list": [0.1]}
+    # quasiperiodic forcing has no period, so the track evolves t_track on
+    # the fixed tracking stride
+    sine = {"kind": "sine", "coeffs": [0.5]}
+    orbit = {"kind": "converge", "experiment": "periodic-orbit", "eps_list": [0.2],
+             "forcing": {"type": "quasiperiodic", "mean": sine, "osc1": sine, "omega1": 1.0,
+                         "osc2": sine, "omega2": math.sqrt(2.0)}}
     for base, params, fragment in (
         # t_check is read against the default t_len 2 when t_len is absent
         (modal, {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
@@ -458,13 +464,19 @@ def test_params_rules_across_keys(tmp_path):
         (traj, {"t_end": 2.1}, "params.t_end: must be a multiple of stride 0.125"),
         (traj, {"t_end": 2.1, "stride": 0.5}, "params.t_end: must be a multiple of stride 0.5"),
         (sweep, {"t_grow": 2.6}, "params.t_grow: must be a multiple of stride 0.25"),
+        (orbit, {"t_track": 2.1},
+         "params.t_track: must be a multiple of the tracking stride 0.25"),
     ):
         fails_with(tmp_path, minimal(**base, params=params), fragment)
+    bad_track = minimal(**orbit, params={"t_track": 2.1})
+    assert lab_main([bad_track["kind"], "--config", write(tmp_path, bad_track)]) == 2
+    assert "params.t_track" in capsys.readouterr().err
     for base, params in (
         (modal, {"t_check": 2.0}),
         (modal, {"t_len": 5.0, "t_check": 4.5}),
         (traj, {"t_end": 2.125}),
         (sweep, {"t_grow": 2.5}),
+        (orbit, {"t_track": 2.25}),
     ):
         resolved = load_config(write(tmp_path, minimal(**base, params=params))).params
         assert {key: resolved[key] for key in params} == params

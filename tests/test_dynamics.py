@@ -35,6 +35,7 @@ from cylinderlab import (
     hausdorff_dist,
     heteroclinic_classify,
     lyapunov_value,
+    process_map,
     rate_fit,
     sample_attractor,
     spectral_split,
@@ -186,8 +187,7 @@ def test_census_yields_each_seed_once_it_and_those_before_are_decided(grid64, sc
     assert not np.any(next(batch)) and calls == [37]
 
 
-@pytest.mark.parametrize("deflation", [True, False])
-def test_census_is_the_seed_by_seed_census(deflation, grid64, scalar_mats, monkeypatch):
+def test_census_is_the_seed_by_seed_census(grid64, scalar_mats, monkeypatch):
     # a reference census that feeds the seeds one at a time, each against
     # every root found before it; the roots and their order must match the
     # batched census, whose restarts after each new root must not show
@@ -196,7 +196,7 @@ def test_census_is_the_seed_by_seed_census(deflation, grid64, scalar_mats, monke
     h = grid64.h
     roots = []
     for seed in _census_seeds(grid64, 1, 12, 0):
-        cand = lone_newton(seed, res, stepper, roots if deflation else [], h)
+        cand = lone_newton(seed, res, stepper, roots, h)
         if cand is None:
             continue
         try:
@@ -219,7 +219,7 @@ def test_census_is_the_seed_by_seed_census(deflation, grid64, scalar_mats, monke
         return analyze(z, mats, nl)
 
     monkeypatch.setattr(dynamics, "spectral_analyze", spy)
-    records = find_equilibria(scalar_mats, nl, Field.zeros(grid64), deflation=deflation, rng=0)
+    records = find_equilibria(scalar_mats, nl, Field.zeros(grid64), rng=0)
     assert [r.index for r in records] == [3, 2, 2, 1, 1, 0, 0]
     assert analyzed == [z.tobytes() for z in roots]
 
@@ -340,9 +340,7 @@ def test_forward_invariance(cloud48):
     # pushing every cloud point one unit forward stays within twice the
     # cloud's own sampling resolution
     _, _, lctx, cloud = cloud48
-    moved = PointCloud(
-        tuple(lctx.map(p, 0.0, 1.0) for p in cloud.points), dict(cloud.meta)
-    )
+    moved = PointCloud(tuple(process_map(p, 0.0, 1.0, lctx) for p in cloud.points))
     assert hausdorff_dist(moved, cloud) <= 2.0 * cloud_resolution(cloud)
 
 
@@ -360,15 +358,15 @@ def test_index_census_stable_under_refinement(scalar_mats):
 def test_hausdorff_trivial_cases(grid64):
     zero = Field.zeros(grid64)
     one = Field(grid64, np.ones((64, 1)))
-    X = PointCloud((zero, one), {})
+    X = PointCloud((zero, one))
     assert hausdorff_dist(X, X) == 0.0
     # discrete norm of the all-ones field is sqrt(h n), about sqrt(pi)
     c = math.sqrt(grid64.h * 64)
-    A = PointCloud((zero,), {})
-    B = PointCloud((one,), {})
+    A = PointCloud((zero,))
+    B = PointCloud((one,))
     assert hausdorff_dist(A, B) == pytest.approx(c, rel=1e-12)
     assert abs(c - math.sqrt(PI)) <= 0.02
-    wide = PointCloud((zero, Field(grid64, 2.0 * np.ones((64, 1)))), {})
+    wide = PointCloud((zero, Field(grid64, 2.0 * np.ones((64, 1)))))
     assert hausdorff_dist(wide, B) == pytest.approx(c, rel=1e-12)
     assert hausdorff_dist(B, wide) == pytest.approx(c, rel=1e-12)
     assert symmetric_dist(wide, A) == pytest.approx(2 * c, rel=1e-12)
@@ -378,19 +376,19 @@ def test_hausdorff_trivial_cases(grid64):
 def test_cloud_validation(grid64, grid32):
     zero = Field.zeros(grid64)
     with pytest.raises(EmptyCloud):
-        hausdorff_dist(PointCloud((), {}), PointCloud((zero,), {}))
+        hausdorff_dist(PointCloud(()), PointCloud((zero,)))
     with pytest.raises(ShapeMismatch):
-        hausdorff_dist(PointCloud((zero,), {}), PointCloud((Field.zeros(grid32),), {}))
+        hausdorff_dist(PointCloud((zero,)), PointCloud((Field.zeros(grid32),)))
     with pytest.raises(ShapeMismatch):
-        PointCloud((zero, Field.zeros(grid32)), {})
+        PointCloud((zero, Field.zeros(grid32)))
     with pytest.raises(EmptyCloud):
-        cloud_resolution(PointCloud((zero,), {}))
+        cloud_resolution(PointCloud((zero,)))
 
 
 def test_cloud_resolution_two_points(grid64):
     a = Field.zeros(grid64)
     b = sine_field(grid64, [1.0])
-    assert cloud_resolution(PointCloud((a, b), {})) == pytest.approx(b.l2(), rel=1e-12)
+    assert cloud_resolution(PointCloud((a, b))) == pytest.approx(b.l2(), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -402,7 +400,7 @@ def test_symmetric_dist_metric_properties(seed):
     for _ in range(3):
         count = int(rng.integers(1, 5))
         pts = tuple(Field(grid, rng.standard_normal((8, 1))) for _ in range(count))
-        clouds.append(PointCloud(pts, {}))
+        clouds.append(PointCloud(pts))
     A, B, C = clouds
     assert symmetric_dist(A, B) == symmetric_dist(B, A)
     assert symmetric_dist(A, A) == 0.0

@@ -17,7 +17,6 @@ from cylinderlab import (
     ShapeMismatch,
     SlabOutOfRange,
     SpatialGrid,
-    Trajectory,
     cubic_nonlinearity,
     grad_cells,
     laplacian,
@@ -98,22 +97,11 @@ def test_sine_field_modes(grid64):
         sine_field(grid64, np.ones((2, 3)), k=2)
 
 
-def test_trajectory_at_time(grid32):
-    times = np.linspace(0.0, 1.0, 5)
-    vals = np.random.default_rng(0).standard_normal((5, 32, 1))
-    traj = Trajectory(grid32, times, vals)
-    np.testing.assert_array_equal(traj.at_time(0.5).values, vals[2])
-    with pytest.raises(SlabOutOfRange):
-        traj.at_time(0.3)
-
-
 def test_cylinder_field_slicing(grid32):
     cg = CylinderGrid(0.0, 1.0, 4, 0.1)
     vals = np.random.default_rng(1).standard_normal((5, 32, 1))
     u = CylinderField(grid32, cg, vals)
-    np.testing.assert_array_equal(u.slice_at(0.25).values, vals[1])
-    with pytest.raises(SlabOutOfRange):
-        u.slice_at(2.0)
+    np.testing.assert_array_equal(u.slice(1).values, vals[1])
     with pytest.raises(ShapeMismatch):
         CylinderField(grid32, cg, vals[:4])
 
@@ -131,13 +119,6 @@ def test_coupling_validation():
         CouplingMatrices(2, np.eye(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ShapeMismatch):
         CouplingMatrices(2, np.eye(3), np.eye(2))
-
-
-def test_coupling_split_parts():
-    a = np.array([[1.0, 0.4], [-0.4, 1.0]])
-    m = CouplingMatrices(2, a, np.eye(2))
-    np.testing.assert_allclose(m.a_plus, np.eye(2))
-    np.testing.assert_allclose(m.a_minus, [[0.0, 0.4], [-0.4, 0.0]])
 
 
 # ---------------------------------------------------------------------------

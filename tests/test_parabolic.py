@@ -27,6 +27,7 @@ from cylinderlab import (
     laplacian,
     linear_nonlinearity,
     lyapunov_value,
+    process_map,
     semigroup_evolve,
     sine_field,
     variational_evolve,
@@ -205,7 +206,7 @@ def test_semigroup_linear_decay_rate(grid64, scalar_mats):
     traj = semigroup_evolve(
         u0, 1.0, StepOptions(dt=1e-3), scalar_mats, nl, Constant(Field.zeros(grid64))
     )
-    final = traj.at_time(1.0)
+    final = traj.field(-1)  # t = 1
     expect = math.exp(-2.0)
     got = final.l2() / u0.l2()
     assert got == pytest.approx(expect, rel=1e-2)
@@ -311,7 +312,7 @@ def test_lyapunov_requires_structure(grid32, chafee2):
     zero = Field.zeros(grid32)
     no_potential = Nonlinearity(
         k=1, f=chafee2.f, jac_f=chafee2.jac_f, c_diss=chafee2.c_diss,
-        k_mono=chafee2.k_mono, growth_q=3.0,
+        k_mono=chafee2.k_mono,
     )
     with pytest.raises(MissingPotential):
         lyapunov_value(u, CouplingMatrices.scalar(), no_potential, zero)
@@ -343,14 +344,14 @@ def test_eps_zero_process_map_and_evolve(grid32, scalar_mats, chafee2):
         grid32, scalar_mats, chafee2, Constant(Field.zeros(grid32)), eps=0.0, dt=1e-2
     )
     u0 = sine_field(grid32, [0.5])
-    assert ctx.map(u0, 1.0, 1.0) is u0
+    assert process_map(u0, 1.0, 1.0, ctx) is u0
     assert ctx.eps == 0.0
     traj = ctx.evolve(u0, 0.0, 1.0, stride=0.25)
     np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
-    end = ctx.map(u0, 0.0, 1.0)
+    end = process_map(u0, 0.0, 1.0, ctx)
     np.testing.assert_allclose(traj.values[-1], end.values, atol=1e-12)
     with pytest.raises(ValueError):
-        ctx.map(u0, 1.0, 0.5)
+        process_map(u0, 1.0, 0.5, ctx)
 
 
 def test_eps_zero_process_periodic_forcing(grid32, scalar_mats):
@@ -373,6 +374,19 @@ def test_eps_zero_process_periodic_forcing(grid32, scalar_mats):
     assert amp_got == pytest.approx(amp_expect, rel=2e-2)
 
 
+def test_delegation_gap_at_a_stride_off_the_default_step(tmp_path, configs_dir):
+    # 1e-3 does not divide stride 1/3, so evolve steps at 1/1002; the
+    # reference must step there too, or its slices sit off evolve's times
+    cfg = json.loads((configs_dir / "c01-delegation-gap.json").read_text())
+    cfg["problem"]["n_interior"] = 16
+    cfg["params"]["stride"] = 1.0 / 3.0
+    path = tmp_path / "c01.json"
+    path.write_text(json.dumps(cfg))
+    report = run(load_config(str(path)), fixed_clock=True)
+    assert report.all_pass, [v.detail for v in report.verdicts if not v.passed]
+    assert len(report.tables[0].rows) == 7
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -383,7 +397,7 @@ def _arctan_nl(scale):
     def jac(v):
         return (scale / (1.0 + np.asarray(v, dtype=float) ** 2))[..., None]
 
-    return Nonlinearity(1, lambda v: scale * np.arctan(v), jac, 0.0, 0.0, 1.0, name="atan")
+    return Nonlinearity(1, lambda v: scale * np.arctan(v), jac, 0.0, 0.0, name="atan")
 
 
 def _newton_work(monkeypatch):
