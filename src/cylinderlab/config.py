@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import TRACK_STRIDE, CloudParams
+from .dynamics import RECURRENCE_LAG, TRACK_STRIDE, CloudParams
 from .errors import ParseError, ValidationError
 from .forcing import Constant, FastScaled, Forcing, Heteroclinic, Patchwork, Periodic, Quasiperiodic
 from .model import (
@@ -334,8 +334,9 @@ def _index_lists(v, path, problem) -> list[list[int]]:
     return [_counts(row, f"{path}[{i}]", problem, min_len=0) for i, row in enumerate(rows)]
 
 
-# rules across keys, checked on the resolved params and tolerances
-def _t_check_within_t_len(p, tol):
+# rules across keys, checked on the resolved params and tolerances and on
+# the parsed forcing
+def _t_check_within_t_len(p, tol, forcing):
     if p["t_check"] > p["t_len"]:
         _fail("params.t_check", f"must not exceed t_len {p['t_len']:g}")
 
@@ -344,23 +345,26 @@ def _off_grid(span: float, stride: float) -> bool:
     return abs(span / stride - round(span / stride)) > 1e-9
 
 
-def _spans_fit_stride(p, tol):
+def _spans_fit_stride(p, tol, forcing):
     for key in ("t_end", "t_grow"):
         if key in p and _off_grid(p[key], p["stride"]):
             _fail(f"params.{key}", f"must be a multiple of stride {p['stride']:g}")
 
 
-def _t_track_fits_stride(p, tol):
+def _t_track_fits_stride(p, tol, forcing):
     if _off_grid(p["t_track"], TRACK_STRIDE):
         _fail("params.t_track", f"must be a multiple of the tracking stride {TRACK_STRIDE:g}")
+    if forcing.period is None and p["t_track"] < RECURRENCE_LAG - 1e-9:
+        _fail("params.t_track", f"must be at least {RECURRENCE_LAG:g} for forcing without a "
+              "finite period (the recurrence gap)")
 
 
-def _one_distance_per_eps(p, tol):
+def _one_distance_per_eps(p, tol, forcing):
     if len(p["distances"]) != len(p["eps"]):
         _fail("params.distances", f"expected {len(p['eps'])} distances, one per eps")
 
 
-def _one_expectation_per_cell(p, tol):
+def _one_expectation_per_cell(p, tol, forcing):
     cells = 1 if p["sweep_lambda"] is None else len(p["sweep_lambda"])
     for key in ("expected_counts", "expected_indices"):
         if tol[key] is not None and len(tol[key]) != cells:
@@ -409,7 +413,7 @@ SCHEMAS = {
         {"ratio_lo": (_POS, 5.0), "ratio_hi": (_POS, 20.0)},
     ),
     "lyapunov": Schema(
-        {"n_trajectories": (_int(0), 20), "t_end": (_POS, 2.0), "dt": (_POS, 1e-3),
+        {"n_trajectories": (_int(1), 20), "t_end": (_POS, 2.0), "dt": (_POS, 1e-3),
          "amplitude": (_real(), 1.0)},
         {"max_increase": (_NONNEG, 1e-8)},
     ),
@@ -519,7 +523,7 @@ def load_config(path: str) -> ExperimentConfig:
     tolerances = _resolve(raw.get("tolerances", {}), "tolerances", schema.tolerances,
                           experiment, problem)
     for rule in schema.rules:
-        rule(params, tolerances)
+        rule(params, tolerances, forcing)
 
     eps_list = ()
     if "eps_list" in raw:

@@ -46,6 +46,9 @@ _MAX_DOUBLINGS = 8
 # slice spacing of bounded tracking (forcing without a finite period); a
 # track's t_track must be a multiple of it
 TRACK_STRIDE = 0.25
+# bounded tracking's recurrence gap compares the last slice with the slices
+# at least this long before it, so a track must last at least this long
+RECURRENCE_LAG = 1.0
 
 
 @dataclass(frozen=True)
@@ -601,7 +604,7 @@ def track_periodic_solution(
         traj = ectx.evolve(z, 0.0, t_track, TRACK_STRIDE)
         devs = np.sqrt(grid.h * np.sum((traj.values - z.values) ** 2, axis=(1, 2)))
         tail = traj.values[-1]
-        early = traj.values[traj.times <= traj.times[-1] - 1.0]
+        early = traj.values[traj.times <= traj.times[-1] - RECURRENCE_LAG]
         rec_gap = float(
             np.sqrt(grid.h * np.sum((early - tail) ** 2, axis=(1, 2))).min()
         )

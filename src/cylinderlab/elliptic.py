@@ -657,7 +657,8 @@ class ProcessContext:
         A sequence of Fields gives an Ensemble whose members are the runs
         each Field makes alone.  At every eps the step is the largest one up
         to dt_target that divides stride, so the slices sit on multiples of
-        stride.  At eps = 0 the limit semigroup steps every member together.
+        stride.  At eps = 0 the limit semigroup steps every member together
+        and stores only the steps on the stride grid.
         At eps > 0 each member marches in windows of at most one time unit;
         each window after the first starts Newton from the previous solution
         shifted by one window, which keeps Newton at one or two steps once
@@ -678,8 +679,10 @@ class ProcessContext:
         if self.eps == 0.0:
             step = StepOptions(dt, self.opts)
             starts = [Field(grid, v) for v in stack]
-            ens = semigroup_evolve(starts, t_end, step, self.mats, self.nl, -self.forcing, tau=tau)
-            times, vals = ens.times[::spw], ens.values[:, ::spw]  # the stride grid
+            ens = semigroup_evolve(
+                starts, t_end, step, self.mats, self.nl, -self.forcing, tau=tau, every=spw
+            )
+            times, vals = ens.times, ens.values
         else:
 
             def march(cur: Field) -> tuple[list, np.ndarray]:

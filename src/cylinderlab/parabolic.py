@@ -161,12 +161,15 @@ def semigroup_evolve(
     nl: Nonlinearity,
     g: Forcing,
     tau: float = 0.0,
+    every: int = 1,
 ) -> Trajectory | Ensemble:
-    """March from tau to tau + t_end, returning every step.
+    """March from tau to tau + t_end, returning steps 0, every, 2 every, ...
 
     The step is t_end over the fewest whole steps of at most opts.dt, where
     a ratio t_end / opts.dt within 1e-9 relative above a whole number counts
     as that number, so a step that divides t_end up to rounding is kept.
+    every must divide that step count (ValueError otherwise); only the kept
+    steps are stored, and each is the state every = 1 returns at that step.
     Step j's Newton solve starts from 2 u_j - u_{j-1}, step 0's from u_0;
     a member whose last start already met the Newton tolerance is at rest
     and starts from u_j.  A Field gives its Trajectory.  A sequence of
@@ -183,7 +186,9 @@ def semigroup_evolve(
         steps = max(1, int(math.ceil(t_end / opts.dt * (1.0 - 1e-9))))
         dt = t_end / steps
         stepper = _BandedStepper(grid, mats, nl, dt)
-    vals = np.empty((cur.shape[0], steps + 1) + cur.shape[1:])
+    if every < 1 or steps % every:
+        raise ValueError(f"every={every} does not divide the {steps} steps")
+    vals = np.empty((cur.shape[0], steps // every + 1) + cur.shape[1:])
     vals[:, 0] = cur
     prev = cur  # u_{j-1}; the first step starts from u_0 itself
     for j in range(steps):
@@ -205,8 +210,9 @@ def semigroup_evolve(
         rested = trace[0] <= opts.newton.tol_residual
         prev = np.where(rested[:, None, None], nxt, cur)
         cur = nxt
-        vals[:, j + 1] = cur
-    times = tau + dt * np.arange(steps + 1)
+        if (j + 1) % every == 0:
+            vals[:, (j + 1) // every] = cur
+    times = tau + dt * np.arange(0, steps + 1, every)
     if isinstance(u0, Field):
         return Trajectory(grid, times, vals[0])
     return Ensemble(grid, times, vals)

@@ -301,14 +301,14 @@ def _exp_delegation_gap(config: ExperimentConfig, report: Report):
 
     ctx = ProcessContext(grid, mats, nl, g, 0.0)
     traj_e = ctx.evolve(u0, 0.0, t_end, p["stride"])
-    # the reference steps on evolve's grid, so slice j is its step j * spw
+    # the reference steps on evolve's grid and keeps its steps j * spw
     dt, spw = _window_grid(p["stride"], ctx)
-    traj_p = semigroup_evolve(u0, t_end, StepOptions(dt=dt), mats, nl, -g)
+    traj_p = semigroup_evolve(u0, t_end, StepOptions(dt=dt), mats, nl, -g, every=spw)
 
     table = report.table("slice-gap", ["t", "rel_gap"])
     worst, worst_row = -1.0, 0
     for j in range(traj_e.times.shape[0]):
-        ref_vals = traj_p.values[j * spw]
+        ref_vals = traj_p.values[j]
         gap = _l2(grid, traj_e.values[j] - ref_vals) / max(_l2(grid, ref_vals), 1e-30)
         row = table.add(float(traj_e.times[j]), gap)
         if gap > worst:

@@ -456,6 +456,9 @@ def test_params_rules_across_keys(tmp_path, capsys):
     orbit = {"kind": "converge", "experiment": "periodic-orbit", "eps_list": [0.2],
              "forcing": {"type": "quasiperiodic", "mean": sine, "osc1": sine, "omega1": 1.0,
                          "osc2": sine, "omega2": math.sqrt(2.0)}}
+    periodic_orbit = {**orbit, "forcing": {"type": "periodic", "mean": sine, "osc": sine,
+                                           "omega": 1.0}}
+    lyap = {"kind": "solve-parabolic", "experiment": "lyapunov"}
     for base, params, fragment in (
         # t_check is read against the default t_len 2 when t_len is absent
         (modal, {"t_check": 5.0}, "params.t_check: must not exceed t_len 2"),
@@ -466,20 +469,38 @@ def test_params_rules_across_keys(tmp_path, capsys):
         (sweep, {"t_grow": 2.6}, "params.t_grow: must be a multiple of stride 0.25"),
         (orbit, {"t_track": 2.1},
          "params.t_track: must be a multiple of the tracking stride 0.25"),
+        # the recurrence gap reads the slices one time unit before the end
+        (orbit, {"t_track": 0.5},
+         "params.t_track: must be at least 1 for forcing without a finite period"),
+        (lyap, {"n_trajectories": 0}, "params.n_trajectories: must be >= 1"),
     ):
         fails_with(tmp_path, minimal(**base, params=params), fragment)
-    bad_track = minimal(**orbit, params={"t_track": 2.1})
-    assert lab_main([bad_track["kind"], "--config", write(tmp_path, bad_track)]) == 2
-    assert "params.t_track" in capsys.readouterr().err
+    for base, params, key in (
+        (orbit, {"t_track": 2.1}, "params.t_track"),
+        (orbit, {"t_track": 0.5}, "params.t_track"),
+        (lyap, {"n_trajectories": 0}, "params.n_trajectories"),
+    ):
+        bad = minimal(**base, params=params)
+        assert lab_main([bad["kind"], "--config", write(tmp_path, bad)]) == 2
+        assert key in capsys.readouterr().err
     for base, params in (
         (modal, {"t_check": 2.0}),
         (modal, {"t_len": 5.0, "t_check": 4.5}),
         (traj, {"t_end": 2.125}),
         (sweep, {"t_grow": 2.5}),
         (orbit, {"t_track": 2.25}),
+        (orbit, {"t_track": 1.0}),
+        (periodic_orbit, {"t_track": 0.5}),  # a periodic track has no recurrence gap
+        (lyap, {"n_trajectories": 1}),
     ):
         resolved = load_config(write(tmp_path, minimal(**base, params=params))).params
         assert {key: resolved[key] for key in params} == params
+    # the shortest bounded track still reaches its recurrence gap
+    report = run(load_config(write(tmp_path, minimal(**orbit, params={"t_track": 1.0}))),
+                 fixed_clock=True)
+    assert "completed" not in [v.name for v in report.verdicts]
+    modes = [(row[2], row[4]) for row in report.tables[0].rows]
+    assert modes and all(m == "bounded-tracking" and math.isfinite(r) for m, r in modes)
 
 
 def test_list_params_checked_at_load(tmp_path):

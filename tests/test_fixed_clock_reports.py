@@ -30,6 +30,9 @@ def test_reports_land_where_report_diff_reads_them(tmp_path, capsys, configs_dir
     # the measured wall time lands beside the fixed-clock reports
     walls = json.loads((tmp_path / "old" / "walls.json").read_text())
     assert list(walls) == ["demo-solve"] and walls["demo-solve"] > 0.0
+    # and the process's peak memory in MiB after each config
+    rss = json.loads((tmp_path / "old" / "rss.json").read_text())
+    assert list(rss) == ["demo-solve"] and 1.0 < rss["demo-solve"] < 1e5
     # and the cold start: the import's seconds and the scipy subpackages it loaded
     imports = json.loads((tmp_path / "old" / "import.json").read_text())
     assert (
@@ -61,6 +64,10 @@ def test_every_shipped_config_by_default(tmp_path, monkeypatch, capsys):
                         "--fixed-clock"]
     walls = json.loads((tmp_path / "walls.json").read_text())
     assert list(walls) == [config.stem for config in shipped]
+    # the peak after each config, in run order, never falls
+    rss = list(json.loads((tmp_path / "rss.json").read_text()).items())
+    assert [name for name, _ in rss] == list(walls)
+    assert all(0.0 < a <= b for (_, a), (_, b) in zip(rss, rss[1:]))
 
 
 PRELOAD_SCRIPT = """

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -468,15 +470,14 @@ def test_overflowing_state_raises_newton_diverged(grid32, scalar_mats, chafee2):
                          Constant(Field.zeros(grid32)))
 
 
-def test_empty_ensemble_is_a_typed_error(tmp_path, configs_dir, grid32, scalar_mats, chafee2):
+def test_empty_ensemble_is_a_typed_error(configs_dir, grid32, scalar_mats, chafee2):
     with pytest.raises(DegenerateData):
         semigroup_evolve([], 1.0, StepOptions(), scalar_mats, chafee2, Constant(Field.zeros(grid32)))
-    # the runner turns it into a failed verdict instead of a crash
-    cfg = json.loads((configs_dir / "c05-lyapunov.json").read_text())
-    cfg["params"]["n_trajectories"] = 0
-    path = tmp_path / "c05.json"
-    path.write_text(json.dumps(cfg))
-    report = run(load_config(str(path)), fixed_clock=True)
+    # the runner turns it into a failed verdict instead of a crash; a config
+    # file cannot ask for it (load_config rejects n_trajectories 0)
+    config = load_config(str(configs_dir / "c05-lyapunov.json"))
+    config = replace(config, params={**config.params, "n_trajectories": 0})
+    report = run(config, fixed_clock=True)
     assert [v.name for v in report.verdicts] == ["completed"]
     assert not report.all_pass
 
@@ -495,6 +496,53 @@ def test_process_evolves_ensembles(grid32, scalar_mats, chafee2, eps):
     for u0, i in zip(starts, range(len(ens))):
         solo = ctx.evolve(u0, 0.0, 1.0, stride=0.25)
         assert ens.member(i).values.tobytes() == solo.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stored steps
+
+
+def test_every_keeps_the_every_one_slices(grid32, scalar_mats, chafee2):
+    # 600 steps cross two chunks of forcing values (256 steps each)
+    g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 2.0)
+    starts = [sine_field(grid32, [0.8]), sine_field(grid32, [-0.3, 0.2]), Field.zeros(grid32)]
+    opts = StepOptions(dt=1e-3)
+    full = semigroup_evolve(starts, 0.6, opts, scalar_mats, chafee2, g, tau=0.1)
+    kept = semigroup_evolve(starts, 0.6, opts, scalar_mats, chafee2, g, tau=0.1, every=25)
+    assert kept.values.shape[1] == 25
+    assert kept.times.tobytes() == full.times[::25].tobytes()
+    assert kept.values.tobytes() == full.values[:, ::25].tobytes()
+    # a coupled (k = 2) member alone gives a Trajectory
+    mats, nl, g2 = _coupled_problem(grid32)
+    u0 = sine_field(grid32, [[0.9, -0.5], [0.0, 0.4]], k=2)
+    full = semigroup_evolve(u0, 0.5, StepOptions(dt=0.05), mats, nl, g2, tau=0.2)
+    kept = semigroup_evolve(u0, 0.5, StepOptions(dt=0.05), mats, nl, g2, tau=0.2, every=2)
+    assert kept.times.tobytes() == full.times[::2].tobytes()
+    assert kept.values.tobytes() == full.values[::2].tobytes()
+
+
+@pytest.mark.parametrize("every", [0, 2, 3])
+def test_every_must_divide_the_steps(grid32, scalar_mats, chafee2, every):
+    u0 = sine_field(grid32, [0.5])
+    with pytest.raises(ValueError, match="does not divide the 5 steps"):
+        semigroup_evolve(u0, 0.5, StepOptions(dt=0.1), scalar_mats, chafee2,
+                         Constant(Field.zeros(grid32)), every=every)
+
+
+def test_limit_evolve_stores_only_the_stride_slices(grid64, scalar_mats, chafee2):
+    # 4 rays over 4 units at the default step: every one of the 4,001
+    # steps would take 8.2 MB; the 17 stride slices take 35 kB
+    g = Periodic(Field.zeros(grid64), sine_field(grid64, [0.3]), 2.0)
+    ctx = ProcessContext(grid64, scalar_mats, chafee2, g, eps=0.0)
+    starts = [sine_field(grid64, [a]) for a in (0.5, -0.5, 1.0, 0.1)]
+    tracemalloc.start()
+    try:
+        ens = ctx.evolve(starts, 0.0, 4.0, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.values.shape == (4, 17, 64, 1)
+    assert peak < 1e6
 
 
 def test_lyapunov_of_trajectory_matches_slices(grid48, scalar_mats, chafee2):

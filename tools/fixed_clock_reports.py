@@ -13,7 +13,10 @@ compares.  The configs run one after another in this process, with the
 package imported from the src/ directory next to this script; like `lab`,
 the runs read OPENBLAS_NUM_THREADS from the environment.
 The reports are fixed-clock, so the tool also writes OUT_DIR/walls.json:
-each config's name and the wall seconds its run took in this process.
+each config's name and the wall seconds its run took in this process,
+and OUT_DIR/rss.json: each config's name and the process's peak resident
+memory (ru_maxrss, MiB) right after its run, in run order, so the config
+that sets the one-process peak is the first whose value reaches the last.
 OUT_DIR/import.json holds the cold start: import_s, the seconds the
 package's command line took to import, and scipy, the sorted public scipy
 subpackages loaded right after that import.  The scipy subpackages the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -60,7 +64,7 @@ def main(argv=None) -> int:
     }
     for name in PRELOAD:
         importlib.import_module(name)
-    status, walls = 0, {}
+    status, walls, rss = 0, {}, {}
     for config in configs:
         try:
             kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
@@ -76,9 +80,12 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # the command line rejected the declared kind
             code = 2
         walls[config.stem] = time.perf_counter() - start
+        # Linux reports ru_maxrss in KiB
+        rss[config.stem] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         status = max(status, code)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "walls.json").write_text(json.dumps(walls, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "rss.json").write_text(json.dumps(rss, indent=2) + "\n", encoding="utf-8")
     (out_dir / "import.json").write_text(json.dumps(imports, indent=2) + "\n", encoding="utf-8")
     return status
 
