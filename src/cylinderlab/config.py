@@ -28,6 +28,7 @@ from .model import (
     cubic_nonlinearity,
     linear_nonlinearity,
     sine_field,
+    symmetric,
     zero_nonlinearity,
 )
 
@@ -335,8 +336,8 @@ def _index_lists(v, path, problem) -> list[list[int]]:
 
 
 # rules across keys, checked on the resolved params and tolerances and on
-# the parsed forcing
-def _t_check_within_t_len(p, tol, forcing):
+# the parsed problem and forcing
+def _t_check_within_t_len(p, tol, problem, forcing):
     if p["t_check"] > p["t_len"]:
         _fail("params.t_check", f"must not exceed t_len {p['t_len']:g}")
 
@@ -345,13 +346,13 @@ def _off_grid(span: float, stride: float) -> bool:
     return abs(span / stride - round(span / stride)) > 1e-9
 
 
-def _spans_fit_stride(p, tol, forcing):
+def _spans_fit_stride(p, tol, problem, forcing):
     for key in ("t_end", "t_grow"):
         if key in p and _off_grid(p[key], p["stride"]):
             _fail(f"params.{key}", f"must be a multiple of stride {p['stride']:g}")
 
 
-def _t_track_fits_stride(p, tol, forcing):
+def _t_track_fits_stride(p, tol, problem, forcing):
     if _off_grid(p["t_track"], TRACK_STRIDE):
         _fail("params.t_track", f"must be a multiple of the tracking stride {TRACK_STRIDE:g}")
     if forcing.period is None and p["t_track"] < RECURRENCE_LAG - 1e-9:
@@ -359,12 +360,18 @@ def _t_track_fits_stride(p, tol, forcing):
               "finite period (the recurrence gap)")
 
 
-def _one_distance_per_eps(p, tol, forcing):
+def _one_distance_per_eps(p, tol, problem, forcing):
     if len(p["distances"]) != len(p["eps"]):
         _fail("params.distances", f"expected {len(p['eps'])} distances, one per eps")
 
 
-def _one_expectation_per_cell(p, tol, forcing):
+def _a_symmetric(p, tol, problem, forcing):
+    # the energy behind lyapunov_value exists only for a symmetric a
+    if not symmetric(problem.a):
+        _fail("problem.a", "must be symmetric for the energy (Lyapunov function) to exist")
+
+
+def _one_expectation_per_cell(p, tol, problem, forcing):
     cells = 1 if p["sweep_lambda"] is None else len(p["sweep_lambda"])
     for key in ("expected_counts", "expected_indices"):
         if tol[key] is not None and len(tol[key]) != cells:
@@ -416,6 +423,7 @@ SCHEMAS = {
         {"n_trajectories": (_int(1), 20), "t_end": (_POS, 2.0), "dt": (_POS, 1e-3),
          "amplitude": (_real(), 1.0)},
         {"max_increase": (_NONNEG, 1e-8)},
+        rules=(_a_symmetric,),
     ),
     "census": Schema(
         {"seed_count": (_int(1), 12), "sweep_lambda": (_reals(1), None)},
@@ -446,7 +454,7 @@ SCHEMAS = {
         {"radius": (_POS, 2e-4), "t_grow": (_POS, 18.0), "stride": (_stride, 0.25),
          "n_rays": (_int(1), 16)},
         {"endpoint_tol": (_POS, 1e-3)},
-        rules=(_spans_fit_stride,),
+        rules=(_spans_fit_stride, _a_symmetric),
     ),
     "distance-sweep": Schema(
         _CLOUD_KEYS, {"final_dist": (_NONNEG, 5e-2)},
@@ -523,7 +531,7 @@ def load_config(path: str) -> ExperimentConfig:
     tolerances = _resolve(raw.get("tolerances", {}), "tolerances", schema.tolerances,
                           experiment, problem)
     for rule in schema.rules:
-        rule(params, tolerances, forcing)
+        rule(params, tolerances, problem, forcing)
 
     eps_list = ()
     if "eps_list" in raw:

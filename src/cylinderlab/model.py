@@ -38,6 +38,11 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def symmetric(m: np.ndarray) -> bool:
+    """Whether a square matrix equals its transpose to 1e-12 absolute."""
+    return bool(np.allclose(m, m.T, atol=1e-12))
+
+
 # ---------------------------------------------------------------------------
 # grids and fields
 
@@ -264,7 +269,7 @@ class CouplingMatrices:
             raise NonFiniteValue("coupling matrices contain non-finite entries")
         if np.linalg.eigvalsh(a + a.T).min() <= 0:
             raise ValueError("a + a^T must be positive definite")
-        if not np.allclose(g, g.T, atol=1e-12):
+        if not symmetric(g):
             raise ValueError("gamma must be symmetric")
         if np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= 0:
             raise ValueError("gamma must be positive definite")

@@ -39,6 +39,7 @@ from .model import (
     Trajectory,
     grad_cells,
     laplacian,
+    symmetric,
 )
 from .newton import NewtonOptions, damped_newton
 
@@ -153,43 +154,38 @@ def _initial_stack(u0) -> tuple[SpatialGrid, np.ndarray]:
 _FORCING_CHUNK = 256
 
 
-def semigroup_evolve(
-    u0: Field | Sequence[Field],
-    t_end: float,
-    opts: StepOptions,
-    mats: CouplingMatrices,
-    nl: Nonlinearity,
-    g: Forcing,
-    tau: float = 0.0,
-    every: int = 1,
-) -> Trajectory | Ensemble:
-    """March from tau to tau + t_end, returning steps 0, every, 2 every, ...
-
-    The step is t_end over the fewest whole steps of at most opts.dt, where
-    a ratio t_end / opts.dt within 1e-9 relative above a whole number counts
-    as that number, so a step that divides t_end up to rounding is kept.
-    every must divide that step count (ValueError otherwise); only the kept
-    steps are stored, and each is the state every = 1 returns at that step.
-    Step j's Newton solve starts from 2 u_j - u_{j-1}, step 0's from u_0;
-    a member whose last start already met the Newton tolerance is at rest
-    and starts from u_j.  A Field gives its Trajectory.  A sequence of
-    Fields is stepped as one ensemble: each Newton iteration is one linear
-    solve for all members, each member extrapolates from its own last two
-    states, and each member's path is the one it would follow alone.
-    """
+def _schedule(
+    u0: Field | Sequence[Field], t_end: float, opts: StepOptions
+) -> tuple[SpatialGrid, np.ndarray, int, float]:
+    """(grid, (R, n, k) start, step count, step) of a march over t_end, by
+    the step rule semigroup_evolve states."""
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     grid, cur = _initial_stack(u0)
     if t_end == 0:
-        steps, dt = 0, 0.0
-    else:
-        steps = max(1, int(math.ceil(t_end / opts.dt * (1.0 - 1e-9))))
-        dt = t_end / steps
-        stepper = _BandedStepper(grid, mats, nl, dt)
-    if every < 1 or steps % every:
-        raise ValueError(f"every={every} does not divide the {steps} steps")
-    vals = np.empty((cur.shape[0], steps // every + 1) + cur.shape[1:])
-    vals[:, 0] = cur
+        return grid, cur, 0, 0.0
+    steps = max(1, int(math.ceil(t_end / opts.dt * (1.0 - 1e-9))))
+    return grid, cur, steps, t_end / steps
+
+
+def _march(
+    grid: SpatialGrid, cur: np.ndarray, steps: int, dt: float, opts: StepOptions,
+    mats: CouplingMatrices, nl: Nonlinearity, g: Forcing, tau: float = 0.0,
+):
+    """Yield the (R, n, k) states at steps 0, 1, ..., steps of dt from cur at tau.
+
+    Step j's Newton solve starts from 2 u_j - u_{j-1}, step 0's from u_0;
+    a member whose last start already met the Newton tolerance is at rest
+    and starts from u_j.  Each Newton iteration is one linear solve for all
+    R members, each member extrapolates from its own last two states, and
+    each member's path is the one it would follow alone.  No yielded array
+    is written again, so a caller may keep any of them; the march itself
+    holds only the last two states and one chunk of forcing values.
+    """
+    yield cur
+    if not steps:
+        return
+    stepper = _BandedStepper(grid, mats, nl, dt)
     prev = cur  # u_{j-1}; the first step starts from u_0 itself
     for j in range(steps):
         if j % _FORCING_CHUNK == 0:
@@ -210,8 +206,37 @@ def semigroup_evolve(
         rested = trace[0] <= opts.newton.tol_residual
         prev = np.where(rested[:, None, None], nxt, cur)
         cur = nxt
-        if (j + 1) % every == 0:
-            vals[:, (j + 1) // every] = cur
+        yield cur
+
+
+def semigroup_evolve(
+    u0: Field | Sequence[Field],
+    t_end: float,
+    opts: StepOptions,
+    mats: CouplingMatrices,
+    nl: Nonlinearity,
+    g: Forcing,
+    tau: float = 0.0,
+    every: int = 1,
+) -> Trajectory | Ensemble:
+    """March from tau to tau + t_end, returning steps 0, every, 2 every, ...
+
+    The step is t_end over the fewest whole steps of at most opts.dt, where
+    a ratio t_end / opts.dt within 1e-9 relative above a whole number counts
+    as that number, so a step that divides t_end up to rounding is kept.
+    every must divide that step count (ValueError otherwise).  The states
+    are those _march yields, and only the kept ones are stored, each the
+    state every = 1 returns at that step.  A Field gives its Trajectory.  A
+    sequence of Fields is stepped as one ensemble and gives an Ensemble,
+    each member on the path it would follow alone.
+    """
+    grid, cur, steps, dt = _schedule(u0, t_end, opts)
+    if every < 1 or steps % every:
+        raise ValueError(f"every={every} does not divide the {steps} steps")
+    vals = np.empty((cur.shape[0], steps // every + 1) + cur.shape[1:])
+    for j, state in enumerate(_march(grid, cur, steps, dt, opts, mats, nl, g, tau)):
+        if j % every == 0:
+            vals[:, j // every] = state
     times = tau + dt * np.arange(0, steps + 1, every)
     if isinstance(u0, Field):
         return Trajectory(grid, times, vals[0])
@@ -248,26 +273,28 @@ def variational_evolve(
 
 
 def lyapunov_value(
-    u: Field | Trajectory, mats: CouplingMatrices, nl: Nonlinearity, gbar: Field
+    u: Field | Trajectory | Ensemble, mats: CouplingMatrices, nl: Nonlinearity, gbar: Field
 ) -> float | np.ndarray:
     """Energy integral a grad u . grad u + 2 F(u) + 2 gbar . u over omega.
 
     Gradient term by the cell midpoint rule, the rest by trapezoid; this is
     exactly twice the discrete energy whose gradient flow the implicit step
     gamma u_t = a u_xx - f(u) - gbar integrates, so a flow forced by +g
-    takes gbar = -g.  A Trajectory gives the energy of every slice.
+    takes gbar = -g.  A Trajectory gives the energy of every slice, (nt,),
+    and an Ensemble that of every slice of every member, (R, nt); each
+    entry is the energy of that slice alone, to the bit.
     """
     if nl.potential_F is None:
         raise MissingPotential(f"nonlinearity {nl.name} has no potential")
-    if not np.allclose(mats.a, mats.a.T, atol=1e-12):
+    if not symmetric(mats.a):
         raise AsymmetricA("a must be symmetric for the energy to exist")
-    if u.grid != gbar.grid or u.k != gbar.k:
+    v = u.values
+    if u.grid != gbar.grid or v.shape[-1] != gbar.k:
         raise ShapeMismatch("gbar does not match u")
     h = u.grid.h
-    v = u.values
     d = grad_cells(v, h)
     grad_term = np.einsum("...nc,cd,...nd->...", d, mats.a, d) * h
-    zero = np.zeros((1, u.k))
+    zero = np.zeros((1, gbar.k))
     f_interior = np.sum(nl.potential_F(v), axis=-1)
     f_boundary = float(nl.potential_F(zero)[0])  # both endpoints at half weight
     pot_term = 2.0 * h * (f_interior + f_boundary)

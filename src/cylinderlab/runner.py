@@ -46,9 +46,9 @@ from .elliptic import (
 )
 from .errors import LabError, NewtonDiverged
 from .forcing import Constant, forcing_mean
-from .model import CylinderGrid, Field, cubic_nonlinearity, sine_field, symbol_A
+from .model import CylinderGrid, Ensemble, Field, cubic_nonlinearity, sine_field, symbol_A
 from .newton import NewtonOptions
-from .parabolic import StepOptions, lyapunov_value, semigroup_evolve
+from .parabolic import StepOptions, _march, _schedule, lyapunov_value, semigroup_evolve
 from .reports import Report
 
 
@@ -211,6 +211,34 @@ def _exp_census(config: ExperimentConfig, report: Report):
         )
 
 
+# state values whose energies one lyapunov_value call takes.  Its
+# temporaries are a few arrays of about this size, 64 KiB; below glibc
+# malloc's 128 KiB mmap threshold they are reused from the heap instead of
+# being mapped, and faulted in page by page, afresh at every call
+_ENERGY_VALUES = 8192
+
+
+def _step_energies(starts, t_end, opts, mats, nl, g, gbar) -> np.ndarray:
+    """(R, steps + 1) lyapunov_value of every step of the ensemble's march.
+
+    The states pass through a buffer of _ENERGY_VALUES values (at least
+    one step of every member), whose energies are taken at once each time
+    it fills, so no trajectory is stored; each energy is the one
+    lyapunov_value gives that step alone, to the bit.
+    """
+    grid, cur, steps, dt = _schedule(starts, t_end, opts)
+    width = max(1, _ENERGY_VALUES // cur.size)  # steps in the buffer
+    ell = np.empty((cur.shape[0], steps + 1))
+    buf = np.empty((cur.shape[0], width) + cur.shape[1:])
+    for j, state in enumerate(_march(grid, cur, steps, dt, opts, mats, nl, g)):
+        i = j % width
+        buf[:, i] = state
+        if i == width - 1 or j == steps:
+            part = Ensemble(grid, dt * np.arange(j - i, j + 1), buf[:, : i + 1])
+            ell[:, j - i : j + 1] = lyapunov_value(part, mats, nl, gbar)
+    return ell
+
+
 def _exp_lyapunov(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     g = config.forcing
@@ -222,11 +250,10 @@ def _exp_lyapunov(config: ExperimentConfig, report: Report):
         rng = np.random.default_rng(stream)
         coeffs = amp * rng.standard_normal((4, mats.k)) / (1.0 + np.arange(4.0))[:, None] ** 2
         starts.append(sine_field(grid, coeffs, k=mats.k))
-    ensemble = semigroup_evolve(starts, p["t_end"], StepOptions(dt=p["dt"]), mats, nl, g)
+    # the energy of the flow forced by +g carries -gbar
+    energies = _step_energies(starts, p["t_end"], StepOptions(dt=p["dt"]), mats, nl, g, -gbar)
     table = report.table("trajectories", ["trajectory", "l_start", "l_end", "max_increase"])
-    for i in range(len(ensemble)):
-        # the energy of the flow forced by +g carries -gbar
-        ell = lyapunov_value(ensemble.member(i), mats, nl, -gbar)
+    for i, ell in enumerate(energies):
         l0, l1, inc = float(ell[0]), float(ell[-1]), float(np.diff(ell).max())
         row = table.add(i, l0, l1, inc)
         report.verdict(

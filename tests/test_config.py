@@ -503,6 +503,29 @@ def test_params_rules_across_keys(tmp_path, capsys):
     assert modes and all(m == "bounded-tracking" and math.isfinite(r) for m, r in modes)
 
 
+def test_energy_experiments_need_a_symmetric_a(tmp_path, capsys):
+    # lyapunov and structure take the energy, which exists only for a
+    # symmetric a; the census and the other experiments do not need it
+    def coupled(a, **base):
+        problem = {**minimal()["problem"], "k": 2, "a": a}
+        return minimal(**base, problem=problem)
+
+    lyap = {"kind": "solve-parabolic", "experiment": "lyapunov",
+            "params": {"n_trajectories": 2, "t_end": 0.1}}
+    structure = {"kind": "attractor", "experiment": "structure"}
+    skew = [[1.0, 0.3], [0.0, 1.0]]
+    for base in (lyap, structure):
+        fails_with(tmp_path, coupled(skew, **base), "problem.a: must be symmetric")
+        bad = coupled(skew, **base)
+        assert lab_main([bad["kind"], "--config", write(tmp_path, bad)]) == 2
+        assert "problem.a" in capsys.readouterr().err
+        # the same 1e-12 test as lyapunov_value's: a symmetric coupled a
+        # loads, and so does one within rounding of symmetric
+        for a in ([[1.0, 0.3], [0.3, 1.0]], [[1.0, 0.3], [0.3 + 5e-13, 1.0]]):
+            assert load_config(write(tmp_path, coupled(a, **base))).problem.k == 2
+    np.testing.assert_array_equal(load_config(write(tmp_path, coupled(skew))).problem.a, skew)
+
+
 def test_list_params_checked_at_load(tmp_path):
     frechet = {"kind": "solve-elliptic", "experiment": "frechet"}
     symbol = {"kind": "regularity-probe", "experiment": "symbol-bounds"}

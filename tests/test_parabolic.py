@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import LinAlgError, block_diag, solve_banded
 
 import cylinderlab.parabolic as parabolic
+import cylinderlab.runner as runner
 from cylinderlab import (
     AsymmetricA,
     Constant,
@@ -543,6 +544,53 @@ def test_limit_evolve_stores_only_the_stride_slices(grid64, scalar_mats, chafee2
         tracemalloc.stop()
     assert ens.values.shape == (4, 17, 64, 1)
     assert peak < 1e6
+
+
+def _stored_energies(starts, t_end, opts, mats, nl, g, gbar):
+    ens = semigroup_evolve(starts, t_end, opts, mats, nl, g)
+    return np.stack([lyapunov_value(ens.member(i), mats, nl, gbar) for i in range(len(ens))])
+
+
+def test_streamed_energies_are_the_stored_energies(grid32, scalar_mats, chafee2):
+    # the Lyapunov experiment takes each step's energy from the march a
+    # buffer at a time (85 steps of 3 members on 32 nodes); 601 states
+    # cross two chunks of forcing values and end in a part-filled buffer,
+    # 170 states fill two buffers exactly
+    g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 2.0)
+    gbar = sine_field(grid32, [-0.1, 0.05])
+    starts = [sine_field(grid32, [0.8]), sine_field(grid32, [-0.3, 0.2]), Field.zeros(grid32)]
+    opts = StepOptions(dt=1e-3)
+    for t_end in (0.6, 0.169):
+        got = runner._step_energies(starts, t_end, opts, scalar_mats, chafee2, g, gbar)
+        want = _stored_energies(starts, t_end, opts, scalar_mats, chafee2, g, gbar)
+        assert got.shape == want.shape == (3, round(t_end / 1e-3) + 1)
+        assert got.tobytes() == want.tobytes()
+    # a coupled (k = 2) member with a symmetric a: 301 states, buffers of 128
+    a, gamma = np.array([[1.0, 0.3], [0.3, 0.8]]), np.array([[1.0, 0.3], [0.3, 1.6]])
+    mats, nl = CouplingMatrices(2, a, gamma), cubic_nonlinearity(2.0, k=2)
+    mean, osc = sine_field(grid32, [[0.1, 0.0]], k=2), sine_field(grid32, [[0.3, -0.2]], k=2)
+    g2 = Periodic(mean, osc, 3.0)
+    starts = [sine_field(grid32, [[0.9, -0.5], [0.0, 0.4]], k=2)]
+    gbar2 = sine_field(grid32, [[0.05, -0.1]], k=2)
+    opts = StepOptions(dt=0.02)
+    got = runner._step_energies(starts, 6.0, opts, mats, nl, g2, gbar2)
+    want = _stored_energies(starts, 6.0, opts, mats, nl, g2, gbar2)
+    assert got.shape == (1, 301)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lyapunov_run_keeps_energies_not_states(configs_dir):
+    # c05 as shipped: its 20 trajectories of 2,001 steps would take 20.5 MB;
+    # the run holds a 64 KiB buffer and one energy per step and member
+    config = load_config(str(configs_dir / "c05-lyapunov.json"))
+    tracemalloc.start()
+    try:
+        report = run(config, fixed_clock=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak < 8 * 2**20
 
 
 def test_lyapunov_of_trajectory_matches_slices(grid48, scalar_mats, chafee2):
