@@ -37,7 +37,7 @@ EXPERIMENTS = {
     "solve-elliptic": ("solve", "modal-decay", "frechet"),
     "solve-parabolic": ("solve", "lyapunov"),
     "equilibria": ("census",),
-    "converge": ("delegation-gap", "trajectory-rate", "periodic-orbit", "synthetic-power-law"),
+    "converge": ("delegation-gap", "trajectory-rate", "periodic-orbit"),
     "attractor": ("structure", "distance-sweep"),
     "average": ("attractor-mean",),
     "regularity-probe": ("solution-ratios", "symbol-bounds"),
@@ -360,15 +360,16 @@ def _t_track_fits_stride(p, tol, problem, forcing):
               "finite period (the recurrence gap)")
 
 
-def _one_distance_per_eps(p, tol, problem, forcing):
-    if len(p["distances"]) != len(p["eps"]):
-        _fail("params.distances", f"expected {len(p['eps'])} distances, one per eps")
-
-
 def _a_symmetric(p, tol, problem, forcing):
     # the energy behind lyapunov_value exists only for a symmetric a
     if not symmetric(problem.a):
         _fail("problem.a", "must be symmetric for the energy (Lyapunov function) to exist")
+
+
+def _sweep_needs_cubic(p, tol, problem, forcing):
+    # each sweep cell runs the cubic at its lam, whatever problem.nonlinearity says
+    if p["sweep_lambda"] is not None and problem.nl_id != "cubic":
+        _fail("params.sweep_lambda", f"sweeps the cubic's lam, not a {problem.nl_id} nonlinearity")
 
 
 def _one_expectation_per_cell(p, tol, problem, forcing):
@@ -381,11 +382,11 @@ def _one_expectation_per_cell(p, tol, problem, forcing):
 class Schema(NamedTuple):
     """What one experiment reads.  params and tolerances map each key to
     (check, default): an absent key takes default, written as in a config
-    file (a function of k for a profile); None leaves it None for the
-    experiment or the library to size, and _REQUIRED makes the key
-    required.  eps_list is the fewest entries the experiment needs (0 when
-    it reads none), eps_positive whether each entry must be > 0 (the
-    experiments that compare eps > 0 against the limit cannot run eps = 0)."""
+    file (a function of k for a profile), and None leaves it None for the
+    experiment or the library to size.  eps_list is the fewest entries the
+    experiment needs (0 when it reads none), eps_positive whether each entry
+    must be > 0 (the experiments that compare eps > 0 against the limit
+    cannot run eps = 0)."""
 
     params: dict
     tolerances: dict
@@ -394,7 +395,6 @@ class Schema(NamedTuple):
     rules: tuple = ()
 
 
-_REQUIRED = object()
 _CLOUD = CloudParams()
 _CLOUD_KEYS = {
     "radius": (_POS, _CLOUD.radius), "t_grow": (_POS, _CLOUD.t_grow),
@@ -428,7 +428,7 @@ SCHEMAS = {
     "census": Schema(
         {"seed_count": (_int(1), 12), "sweep_lambda": (_reals(1), None)},
         {"expected_counts": (_counts, None), "expected_indices": (_index_lists, None)},
-        rules=(_one_expectation_per_cell,),
+        rules=(_sweep_needs_cubic, _one_expectation_per_cell),
     ),
     "delegation-gap": Schema(
         {"t_end": (_POS, 2.0), "stride": (_stride, 0.25), "u0": (_profile, _sine(0.5))},
@@ -443,12 +443,6 @@ SCHEMAS = {
     "periodic-orbit": Schema(
         {"t_track": (_POS, 40.0)}, {"residual_max": (_NONNEG, 1e-6)},
         eps_list=1, eps_positive=True, rules=(_t_track_fits_stride,),
-    ),
-    "synthetic-power-law": Schema(
-        {"eps": (_reals(3, positive=True), _REQUIRED),
-         "distances": (_reals(3, positive=True), _REQUIRED)},
-        {"slope": (_real(), 0.5), "slope_tol": (_NONNEG, 0.05)},
-        rules=(_one_distance_per_eps,),
     ),
     "structure": Schema(
         {"radius": (_POS, 2e-4), "t_grow": (_POS, 18.0), "stride": (_stride, 0.25),
@@ -486,8 +480,6 @@ def _resolve(obj, section: str, keys: dict, experiment: str, problem: ProblemSpe
         path = f"{section}.{key}"
         if key in obj:
             out[key] = check(obj[key], path, problem)
-        elif default is _REQUIRED:
-            _fail(path, "missing required key")
         elif default is None:
             out[key] = None
         else:

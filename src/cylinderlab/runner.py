@@ -534,24 +534,6 @@ def _exp_symbol_bounds(config: ExperimentConfig, report: Report):
             )
 
 
-def _exp_synthetic_power_law(config: ExperimentConfig, report: Report):
-    eps, dists = config.params["eps"], config.params["distances"]
-    fit = rate_fit(eps, dists)
-    table = report.table(
-        "data", ["eps", "distance"],
-        fit={"slope": fit.slope, "intercept": fit.intercept},
-    )
-    for e, d in zip(eps, dists):
-        table.add(e, d)
-    want, tol = config.tolerances["slope"], config.tolerances["slope_tol"]
-    summary = report.table("summary", ["slope", "max_residual"])
-    row = summary.add(fit.slope, fit.max_residual)
-    report.verdict(
-        "fitted-slope", abs(fit.slope - want) <= tol, summary, row,
-        f"slope {fit.slope:.4f} vs expected {want:g} within {tol:g}",
-    )
-
-
 _EXPERIMENTS = {
     "solve": _exp_solve,
     "modal-decay": _exp_modal_decay,
@@ -566,7 +548,6 @@ _EXPERIMENTS = {
     "attractor-mean": _exp_attractor_mean,
     "solution-ratios": _exp_solution_ratios,
     "symbol-bounds": _exp_symbol_bounds,
-    "synthetic-power-law": _exp_synthetic_power_law,
 }
 
 

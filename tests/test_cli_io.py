@@ -233,26 +233,6 @@ def test_run_census_counts_and_indices(tmp_path):
     assert sorted(v.name for v in report.verdicts) == ["count-lam-2", "indices-lam-2"]
 
 
-def test_run_synthetic_power_law(tmp_path):
-    cfg_path = tmp_path / "fit.json"
-    cfg_path.write_text(json.dumps({
-        "version": 1,
-        "kind": "converge",
-        "experiment": "synthetic-power-law",
-        "problem": {"length": math.pi, "n_interior": 4,
-                    "nonlinearity": {"id": "zero"}},
-        "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.7 * e**0.5 for e in (0.4, 0.2, 0.1)]},
-        "tolerances": {"slope": 0.5, "slope_tol": 0.01},
-        "out_dir": str(tmp_path / "out"),
-    }))
-    report = run(load_config(str(cfg_path)), fixed_clock=True)
-    assert report.all_pass
-    data = [t for t in report.tables if t.name == "data"][0]
-    assert data.fit["slope"] == pytest.approx(0.5, abs=1e-12)
-    written = export_report(report, str(tmp_path / "out"))
-    assert any(p.endswith("plots.svg") for p in written)
-
-
 def test_run_modal_decay_small(tmp_path):
     cfg_path = tmp_path / "modal.json"
     cfg_path.write_text(json.dumps({
@@ -351,39 +331,26 @@ BAD_SCALAR_PARAMS = (
     ("c12-symbol-bounds", {"xi_range": [1.0]}, {},
      "params.xi_range: expected a list of at least 2"),
     ("c12-symbol-bounds", {"eps_grid": "abc"}, {}, "params.eps_grid: expected a nonempty list"),
-    # profiles and the synthetic-power-law lists: these too used to end as a
-    # failed verdict with exit 1
+    # profiles: these too used to end as a failed verdict with exit 1
     ("demo-solve", {"u0": "abc"}, {}, "params.u0: expected an object, got str"),
     ("c03-frechet", {"xi": {"kind": "sine", "coeffs": "x"}}, {}, "params.xi.coeffs: expected a"),
-    ("synthetic", {"distances": [0.3]}, {},
-     "params.distances: expected a list of at least 3 numbers"),
-    ("synthetic", {"distances": [0.3, 0.2, 0.1, 0.05]}, {},
-     "params.distances: expected 3 distances"),
     # tolerances: a string used to end in a ValueError with exit 1, and a
     # short expected_counts ran the first cell, then ended in an IndexError
     ("c02-modal-decay", {}, {"rel_err": "abc"}, "tolerances.rel_err: expected a number"),
     ("c04-census", {}, {"expected_counts": [1]},
      "tolerances.expected_counts: expected one entry per sweep cell (3)"),
 )
-SYNTHETIC = {
-    "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
-    "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
-    "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
-}
 
 
 @pytest.mark.parametrize(
     "name,params,tolerances,message", BAD_SCALAR_PARAMS,
     ids=["m_steps", "t_len", "stride", "t_check", "t_end", "deltas", "xi_range", "eps_grid",
-         "u0", "xi", "distances", "distances_length", "rel_err", "expected_counts"],
+         "u0", "xi", "rel_err", "expected_counts"],
 )
 def test_bad_scalar_params_exit_2(
     tmp_path, configs_dir, capsys, name, params, tolerances, message
 ):
-    if name == "synthetic":
-        raw = json.loads(json.dumps(SYNTHETIC))
-    else:
-        raw = json.loads((configs_dir / f"{name}.json").read_text())
+    raw = json.loads((configs_dir / f"{name}.json").read_text())
     raw["params"].update(params)
     raw.setdefault("tolerances", {}).update(tolerances)
     cfg_path = tmp_path / "bad.json"
@@ -391,6 +358,21 @@ def test_bad_scalar_params_exit_2(
     code = main([raw["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_experiment_exits_2(tmp_path, capsys):
+    # synthetic-power-law, a slope fit to numbers typed into the config, is
+    # not an experiment of the lab
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
+        "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
+        "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
+    }))
+    code = main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "experiment: kind 'converge' supports" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylinderlab import ParseError, Report, ValidationError, load_config, rate_fit, run
+from cylinderlab import ParseError, Report, ValidationError, load_config, run
+from cylinderlab import runner
 from cylinderlab.cli import main as lab_main
 from cylinderlab.config import EXPERIMENTS, SCHEMAS, parse_forcing, parse_profile
 from cylinderlab.forcing import Forcing
@@ -102,12 +103,6 @@ def test_shipped_configs_load(configs_dir):
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(
     (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
 )}
-# no shipped config runs the synthetic-power-law fit; fuzz one as well
-SHIPPED["synthetic"] = {
-    "version": 1, "kind": "converge", "experiment": "synthetic-power-law",
-    "problem": {"length": math.pi, "n_interior": 4, "nonlinearity": {"id": "zero"}},
-    "params": {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]},
-}
 # what a mutated params, tolerances or eps_list value becomes; None drops
 # the key
 MUTANTS = (
@@ -120,7 +115,7 @@ MUTANTS = (
 RESOLVED_TYPES = {
     "m_steps": int, "n_trajectories": int, "seed_count": int, "n_rays": int, "xi_points": int,
     "u0": Field, "xi": Field, "pairs": [[float]],
-    "deltas": [float], "sweep_lambda": [float], "distances": [float], "eps_grid": [float],
+    "deltas": [float], "sweep_lambda": [float], "eps_grid": [float],
     "xi_range": [float], "expected_counts": [int], "expected_indices": [[int]],
 }
 
@@ -141,10 +136,7 @@ def assert_resolved(cfg):
             if value is None:  # left for the experiment or the library to size
                 assert key not in written and keys[key][1] is None
                 continue
-            kind = RESOLVED_TYPES.get(key, float)
-            if cfg.experiment == "synthetic-power-law" and key == "eps":
-                kind = [float]
-            assert has_type(value, kind), (section, key, value)
+            assert has_type(value, RESOLVED_TYPES.get(key, float)), (section, key, value)
     assert all(type(e) is float for e in cfg.eps_list)
     assert len(cfg.eps_list) >= schema.eps_list and (schema.eps_list or not cfg.eps_list)
 
@@ -181,11 +173,8 @@ def test_mutated_params_fail_only_by_validation(tmp_path_factory, data):
     cfg = load_or_none(mutate(raw, data), tmp_path_factory)
     if cfg is None:
         return
-    # what loads, the experiments can read: every key resolved, and the
-    # synthetic lists fit
+    # what loads, the experiments can read: every key resolved
     assert_resolved(cfg)
-    if cfg.experiment == "synthetic-power-law":
-        rate_fit(cfg.params["eps"], cfg.params["distances"])
 
 
 # the keys that size a run, and the short value each takes in the run fuzz
@@ -247,8 +236,6 @@ def test_every_default_passes_its_check(tmp_path, k):
         obj["problem"]["k"] = k
         if schema.eps_list:
             obj["eps_list"] = [0.4, 0.2, 0.1]
-        if experiment == "synthetic-power-law":  # the only keys without a default
-            obj["params"] = {"eps": [0.4, 0.2, 0.1], "distances": [0.3, 0.2, 0.15]}
         cfg = load_config(write(tmp_path, obj))
         assert_resolved(cfg)
         for section, keys in (("params", schema.params), ("tolerances", schema.tolerances)):
@@ -257,7 +244,7 @@ def test_every_default_passes_its_check(tmp_path, k):
                 if callable(default):  # a profile
                     want = parse_profile(default(k), cfg.problem.grid(), k)
                     np.testing.assert_array_equal(got.values, want.values)
-                elif key not in obj.get("params", {}):
+                else:
                     assert got == default, (experiment, key)
 
 
@@ -437,13 +424,6 @@ def test_scalar_params_type_and_range(tmp_path):
         fails_with(tmp_path, minimal(**base, params=params), fragment)
     ok = minimal(**traj, params={"stride": 0.125, "t_end": 3.0})
     assert load_config(write(tmp_path, ok)).params["stride"] == 0.125
-    # the synthetic power law reads eps as a list, of at least three points
-    # like its distances
-    spl = minimal(
-        kind="converge", experiment="synthetic-power-law",
-        params={"eps": [0.4, 0.2, 0.1], "distances": [0.4, 0.3, 0.2]},
-    )
-    assert load_config(write(tmp_path, spl)).params["eps"] == [0.4, 0.2, 0.1]
 
 
 def test_params_rules_across_keys(tmp_path, capsys):
@@ -524,6 +504,28 @@ def test_energy_experiments_need_a_symmetric_a(tmp_path, capsys):
         for a in ([[1.0, 0.3], [0.3, 1.0]], [[1.0, 0.3], [0.3 + 5e-13, 1.0]]):
             assert load_config(write(tmp_path, coupled(a, **base))).problem.k == 2
     np.testing.assert_array_equal(load_config(write(tmp_path, coupled(skew))).problem.a, skew)
+
+
+def test_sweep_lambda_needs_the_cubic(tmp_path, capsys, configs_dir):
+    # each sweep cell runs the cubic at its lam, so a sweep of another
+    # nonlinearity would report the cubic's equilibria in its place
+    for nl in ({"id": "linear", "c": 1.0}, {"id": "zero"}):
+        problem = {**minimal()["problem"], "nonlinearity": nl}
+        bad = minimal(problem=problem, params={"sweep_lambda": [2.0]})
+        fails_with(tmp_path, bad, "params.sweep_lambda: sweeps the cubic's lam")
+        out = tmp_path / "out"
+        assert lab_main([bad["kind"], "--config", write(tmp_path, bad), "--out", str(out)]) == 2
+        assert "params.sweep_lambda" in capsys.readouterr().err
+        assert not out.exists()
+        # without a sweep the census takes the problem's own nonlinearity
+        assert load_config(write(tmp_path, minimal(problem=problem))).problem.nl_id == nl["id"]
+    for name in ("c04-census", "c13-determinism"):
+        assert load_config(str(configs_dir / f"{name}.json")).params["sweep_lambda"]
+
+
+def test_every_experiment_has_one_schema_and_one_handler():
+    variants = {experiment for kind in EXPERIMENTS.values() for experiment in kind}
+    assert variants == set(SCHEMAS) == set(runner._EXPERIMENTS)
 
 
 def test_list_params_checked_at_load(tmp_path):
