@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import DegenerateData, ShapeMismatch, SingularJacobian
+from .errors import DegenerateData, NewtonDiverged, ShapeMismatch, SingularJacobian
 from .forcing import Constant, Forcing
 from .model import (
     CouplingMatrices,
@@ -118,9 +118,8 @@ def _pde_part(sgrid, dt, eps, a, gam, rows, size):
     row/column pattern of the f' blocks on those rows, (j, i, c, d) order.
     """
     # imported here, not at module level: an eps = 0 run never builds a
-    # space-time operator and so never pays for scipy.sparse and scipy.fft
+    # space-time operator and so never pays for scipy.sparse
     import scipy.sparse as sp
-    from scipy.fft import dst
 
     n, h, k = sgrid.n_interior, sgrid.h, a.shape[0]
     one = np.ones(len(rows))
@@ -146,9 +145,12 @@ def _pde_part(sgrid, dt, eps, a, gam, rows, size):
         - (1.0 / dt) * sp.kron(stencil((-0.5, prev), (0.5, nxt)), sp.kron(eye_n, gam_sp))
     )
     # for the grids in use one product with the DST-I matrix is cheaper
-    # than per-slice transforms
-    sine = dst(np.eye(n), type=1, norm="ortho", axis=0)
-    lam = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
+    # than per-slice transforms.  Its closed form sqrt(2/(n+1)) sin(pi p q /
+    # (n+1)), p, q = 1 ... n, with p q reduced mod 2(n+1): every sine
+    # argument stays in [0, 2 pi) and the matrix is exactly symmetric
+    p = np.arange(1, n + 1)
+    sine = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * (np.outer(p, p) % (2 * (n + 1))) / (n + 1))
+    lam = -(4.0 / h**2) * np.sin(p * math.pi / (2 * (n + 1))) ** 2
     jj, ii, cc, dd = np.meshgrid(rows, np.arange(n), np.arange(k), np.arange(k), indexing="ij")
     base = jj * (n * k) + ii * k
     return lin, sine, lam, (base + cc).ravel(), (base + dd).ravel()
@@ -373,8 +375,6 @@ class _PeriodicSystem(_SpaceTimeSystem):
         """The linear part with f' replaced by its mean over x and t, solved
         exactly: DST-I in x, rfft in t, a k x k solve per (mode, frequency)
         and back.  None if a symbol is singular."""
-        from scipy.fft import irfft, rfft
-
         m, n, k = self.shape3
         try:
             inverse = np.linalg.inv(self._symbol - fp.mean(axis=(0, 1)))
@@ -385,8 +385,8 @@ class _PeriodicSystem(_SpaceTimeSystem):
 
         def precondition(y):
             z = self._sine @ y.reshape(m, n, k).transpose(1, 0, 2).reshape(n, -1)
-            zh = rfft(z.reshape(n, m, k), axis=1)
-            z = irfft(np.einsum("pqcd,pqd->pqc", inverse, zh), n=m, axis=1)
+            zh = np.fft.rfft(z.reshape(n, m, k), axis=1)
+            z = np.fft.irfft(np.einsum("pqcd,pqd->pqc", inverse, zh), n=m, axis=1)
             z = self._sine @ z.reshape(n, -1)
             return z.reshape(n, m, k).transpose(1, 0, 2).ravel()
 
@@ -712,15 +712,21 @@ class ProcessContext:
         """The cylinder solve from u at start over steps steps of dt plus the
         far margin behind them.  guess, the slices of an earlier solution
         from start on, warm-starts Newton after being cut or extended by its
-        last slice to the window's length."""
+        last slice to the window's length.  If Newton diverges, the solve is
+        retried once from the eps = 0 march over the same window and dt."""
         m = steps + self.margin_steps(dt)
         if guess is not None:
             guess = guess[: m + 1]
             guess = np.concatenate([guess, np.repeat(guess[-1:], m + 1 - len(guess), axis=0)])
-        return solve_truncated_bvp(
-            self.sgrid, CylinderGrid(start, m * dt, m, self.eps), self.mats, self.nl,
-            self.forcing, u, opts=self.opts, guess=guess,
-        )
+        cgrid = CylinderGrid(start, m * dt, m, self.eps)
+        args = (self.sgrid, cgrid, self.mats, self.nl, self.forcing, u)
+        try:
+            return solve_truncated_bvp(*args, opts=self.opts, guess=guess)
+        except NewtonDiverged:
+            limit = semigroup_evolve(
+                u, m * dt, StepOptions(dt, self.opts), self.mats, self.nl, -self.forcing, tau=start
+            )
+            return solve_truncated_bvp(*args, opts=self.opts, guess=limit.values)
 
 
 def process_map(u_tau: Field, tau: float, t: float, context: ProcessContext) -> Field:

@@ -168,6 +168,13 @@ def fit_plot_svg(table: Table) -> str:
     return "\n".join(parts)
 
 
+def _cell(value) -> str:
+    """CSV text of a table cell; a missing value (None) is an empty field."""
+    if value is None:
+        return ""
+    return _FMT % value if isinstance(value, float) else str(value)
+
+
 def _write(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -201,7 +208,7 @@ def export_report(report: Report, out_dir: str) -> list:
         cpath = os.path.join(out_dir, f"{table.name}.csv")
         lines = [",".join(str(c) for c in table.columns)]
         for row in table.rows:
-            lines.append(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join(_cell(v) for v in row))
         _write(cpath, "\n".join(lines) + "\n")
         written.append(cpath)
         if table.fit is not None:

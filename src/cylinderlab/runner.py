@@ -171,9 +171,11 @@ def _exp_census(config: ExperimentConfig, report: Report):
     grid, mats, nl = _geometry(config)
     gbar = forcing_mean(config.forcing)
     seed_count, lams = config.params["seed_count"], config.params["sweep_lambda"]
-    cells = [(None, nl)] if lams is None else [
-        (lam, cubic_nonlinearity(lam, mats.k)) for lam in lams
-    ]
+    # the lam column holds the cubic's lam, and None for the other nonlinearities
+    if lams is None:
+        cells = [(config.problem.nl_param if config.problem.nl_id == "cubic" else None, nl)]
+    else:
+        cells = [(lam, cubic_nonlinearity(lam, mats.k)) for lam in lams]
     streams = np.random.SeedSequence(config.seed).spawn(len(cells))
 
     def cell(nl_cell, stream):
@@ -187,21 +189,21 @@ def _exp_census(config: ExperimentConfig, report: Report):
     expected_counts = config.tolerances["expected_counts"]
     expected_indices = config.tolerances["expected_indices"]
     for i, ((lam, _), records) in enumerate(zip(cells, sweeps)):
-        lam_val = lam if lam is not None else config.problem.nl_param
+        suffix = "" if lam is None else f"-lam-{lam:g}"
         for j, rec in enumerate(records):
-            roots.add(lam_val, j, rec.z.l2(), rec.index, rec.gap_nu, int(rec.hyperbolic))
-        row = census.add(lam_val, len(records))
+            roots.add(lam, j, rec.z.l2(), rec.index, rec.gap_nu, int(rec.hyperbolic))
+        row = census.add(lam, len(records))
         if expected_counts is not None:
             want = expected_counts[i]
             report.verdict(
-                f"count-lam-{lam_val:g}", len(records) == want, census, row,
+                f"count{suffix}", len(records) == want, census, row,
                 f"found {len(records)} equilibria, expected {want}",
             )
         if expected_indices is not None:
             want_idx = expected_indices[i]
             got_idx = [rec.index for rec in records]
             report.verdict(
-                f"indices-lam-{lam_val:g}", got_idx == want_idx, census, row,
+                f"indices{suffix}", got_idx == want_idx, census, row,
                 f"instability indices {got_idx}, expected {want_idx}",
             )
     if expected_counts is None and expected_indices is None:

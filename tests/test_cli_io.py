@@ -195,7 +195,9 @@ def test_svg_line_matches_scatter_geometry():
 # runner
 
 
-def census_config(tmp_path, n=48, tolerances=None, seed=3, name="census.json"):
+def census_config(
+    tmp_path, n=48, tolerances=None, seed=3, name="census.json", nonlinearity=None
+):
     cfg = {
         "version": 1,
         "kind": "equilibria",
@@ -203,7 +205,7 @@ def census_config(tmp_path, n=48, tolerances=None, seed=3, name="census.json"):
         "problem": {
             "length": math.pi,
             "n_interior": n,
-            "nonlinearity": {"id": "cubic", "lam": 2.0},
+            "nonlinearity": nonlinearity or {"id": "cubic", "lam": 2.0},
         },
         "seed": seed,
         "out_dir": str(tmp_path / "out"),
@@ -231,6 +233,26 @@ def test_run_census_counts_and_indices(tmp_path):
     assert [r[3] for r in report.tables[0].rows] == [1, 0, 0]
     assert report.tables[1].rows == [[2.0, 3]]
     assert sorted(v.name for v in report.verdicts) == ["count-lam-2", "indices-lam-2"]
+
+
+@pytest.mark.parametrize("nonlinearity", [{"id": "linear", "c": 1.0}, {"id": "zero"}])
+def test_census_of_a_non_cubic_leaves_lam_empty(tmp_path, nonlinearity):
+    # lam is the cubic's parameter: the linear c or the zero nonlinearity's
+    # placeholder must not appear under it
+    cfg = load_config(census_config(
+        tmp_path, n=32, nonlinearity=nonlinearity,
+        tolerances={"expected_counts": [1], "expected_indices": [[0]]},
+    ))
+    report = run(cfg, fixed_clock=True)
+    assert report.all_pass
+    assert sorted(v.name for v in report.verdicts) == ["count", "indices"]
+    roots, census = report.tables
+    assert [row[:2] for row in roots.rows] == [[None, 0]] and census.rows == [[None, 1]]
+    export_report(report, str(tmp_path / "out"))
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved["tables"][1]["rows"] == [[None, 1]]
+    assert (tmp_path / "out" / "census.csv").read_text() == "lam,count\n,1\n"
+    assert (tmp_path / "out" / "equilibria.csv").read_text().splitlines()[1].startswith(",0,")
 
 
 def test_run_modal_decay_small(tmp_path):

@@ -1,8 +1,9 @@
 """Cold start: importing the command line and running a parabolic-only
-config loads none of scipy's optimize, spatial, sparse and fft; the first
-eps > 0 solve loads sparse and fft, and a periodic-orbit run loads neither
-optimize nor spatial.  It runs in a fresh interpreter, because this test
-process has long since imported all four."""
+config loads none of scipy's fft, optimize, sparse, spatial and special;
+the first eps > 0 solve loads sparse but neither fft nor special, and a
+periodic-orbit run loads none of fft, optimize, spatial and special.  It
+runs in a fresh interpreter, because this test process has long since
+imported all five."""
 
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-DEFERRED = ("scipy.fft", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+DEFERRED = ("scipy.fft", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
 
 SCRIPT = """
 import json, sys
@@ -67,8 +68,10 @@ def test_parabolic_run_loads_no_deferred_scipy(tmp_path, configs_dir):
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["code"] == 0
     assert seen["import"] == [] and seen["run"] == []
-    # the first space-time solve builds its operator with sparse and fft
-    assert {"scipy.sparse", "scipy.fft"} <= set(seen["solve"])
-    # periodic tracking needs no scipy.optimize, and no run here measures clouds
+    # the first space-time solve builds its operator with sparse; its DST-I
+    # matrix comes from a closed form, so neither fft nor special loads
+    assert seen["solve"] == ["scipy.sparse"]
+    # periodic tracking needs no scipy.optimize, its rfft is numpy's, and no
+    # run here measures clouds (special arrives with spatial)
     assert seen["periodic_code"] == 0
-    assert not {"scipy.optimize", "scipy.spatial"} & set(seen["periodic"])
+    assert seen["periodic"] == ["scipy.sparse"]

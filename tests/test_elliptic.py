@@ -29,6 +29,7 @@ from cylinderlab import (
     semigroup_evolve,
     sine_field,
     solve_truncated_bvp,
+    spectral_split,
     track_periodic_solution,
     variational_process,
     zero_nonlinearity,
@@ -102,6 +103,19 @@ def test_solve_modal_decay():
     expect = math.exp(mu) * u_tau.values
     rel = np.max(np.abs(got.values - expect)) / math.exp(mu)
     assert rel <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 127, 200])
+def test_sine_matrix_is_the_orthonormal_dst_one(n):
+    # the closed form against scipy's DST-I of the identity: exactly
+    # symmetric and its own inverse to rounding
+    from scipy.fft import dst
+
+    grid, eye = SpatialGrid(PI, n), np.eye(1)
+    sine = elliptic._pde_part(grid, 0.1, 0.2, eye, eye, np.arange(1, 2), 3)[1]
+    assert np.max(np.abs(sine - dst(np.eye(n), type=1, norm="ortho", axis=0))) <= 1e-15
+    np.testing.assert_array_equal(sine, sine.T)
+    assert np.max(np.abs(sine @ sine - np.eye(n))) <= 1e-14
 
 
 def test_space_time_second_order_in_dt():
@@ -533,6 +547,33 @@ def test_periodic_step_matches_sparse_lu(grid32, k, splu_calls):
     assert rel_gap(dx, _factor_solve(system.jacobian(u), -r)) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_periodic_preconditioner_matches_scipy_fft(grid32, k):
+    # the preconditioner's numpy rfft and DST-I matrix against scipy.fft's
+    # transforms applied to the same mode symbols
+    import scipy.fft
+
+    if k == 1:
+        mats, nl = CouplingMatrices.scalar(), cubic_nonlinearity(2.0)
+        g = Periodic(Field.zeros(grid32), sine_field(grid32, [0.5]), 1.0)
+    else:
+        mats, nl, g, _ = coupled_problem(grid32)
+    system = _PeriodicSystem(grid32, CylinderGrid(0.0, 2.0 * PI, 96, 0.2), mats, nl, g)
+    m, n, _ = system.shape3
+    rng = np.random.default_rng(11)
+    fp = nl.jac_f(0.5 * rng.standard_normal(system.shape3))
+    y = rng.standard_normal(system.b.shape)
+    inverse = np.linalg.inv(system._symbol - fp.mean(axis=(0, 1)))
+
+    def dst(z):
+        return scipy.fft.dst(z, type=1, norm="ortho", axis=0)
+
+    zh = scipy.fft.rfft(dst(y.reshape(m, n, k).transpose(1, 0, 2)), axis=1)
+    ref = dst(scipy.fft.irfft(np.einsum("pqcd,pqd->pqc", inverse, zh), n=m, axis=1))
+    got = system._preconditioner(fp)(y)
+    assert rel_gap(got, ref.transpose(1, 0, 2).ravel()) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # operator cache
 
@@ -812,6 +853,55 @@ def test_inexact_newton_keeps_trajectories_and_saves_krylov_work(
     assert np.max(np.abs(inexact.values - exact.values)) <= 1e-10
     assert inexact_iters <= sum(newton_iterations)
     assert inexact_apps <= 0.65 * preconditioner_applications[0]
+
+
+def test_diverged_window_retries_from_the_limit_march(grid64, scalar_mats, monkeypatch):
+    # a ray off the index-2 origin of lam = 5 (c06's problem with lam: 5)
+    # stalls Newton from the constant guess at eps = 0.2; the retry from the
+    # eps = 0 march converges, and the ray grows at the slow root
+    # s = (1 - sqrt(1 - 4 eps^2 mu)) / (2 eps^2) of the eps-problem, 5.0003
+    # here, not at the limit's mu = 4.0002
+    nl = cubic_nonlinearity(5.0)
+    (origin,) = [
+        rec for rec in find_equilibria(scalar_mats, nl, Field.zeros(grid64),
+                                       rng=np.random.default_rng(6))
+        if rec.index == 2
+    ]
+    v = spectral_split(origin, scalar_mats, nl).v_plus[:, 0]
+    guesses = []
+    solve = elliptic.solve_truncated_bvp
+
+    def spy(*args, guess=None, **kwargs):
+        guesses.append(guess is None)
+        return solve(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_truncated_bvp", spy)
+    eps = 0.2
+    ctx = ProcessContext(grid64, scalar_mats, nl, zero_forcing(grid64), eps)
+    ray = ctx.evolve(Field(grid64, 2e-4 * v.reshape(-1, 1)), 0.0, 1.0, 0.25)
+    assert guesses == [True, False]  # one window, retried once
+    amp = np.abs(ray.values[:, :, 0] @ v)
+    mu = 5.0 - disc_eig(grid64, 1)
+    slow = (1.0 - math.sqrt(1.0 - 4.0 * eps**2 * mu)) / (2.0 * eps**2)
+    rates = np.diff(np.log(amp)) / 0.25
+    assert np.all(np.abs(rates - slow) <= 0.02), rates
+
+
+def test_second_divergence_raises(grid32, scalar_mats, chafee2, monkeypatch):
+    calls = []
+
+    def diverge(*args, **kwargs):
+        calls.append(kwargs["guess"])
+        raise NewtonDiverged("stalled")
+
+    monkeypatch.setattr(elliptic, "solve_truncated_bvp", diverge)
+    ctx = ProcessContext(grid32, scalar_mats, chafee2, zero_forcing(grid32), eps=0.1)
+    u0 = sine_field(grid32, [0.5])
+    with pytest.raises(NewtonDiverged):
+        ctx.evolve(u0, 0.0, 1.0, 0.25)
+    # the constant start, then the limit march from the same initial slice
+    assert len(calls) == 2 and calls[0] is None
+    np.testing.assert_array_equal(calls[1][0], u0.values)
 
 
 def test_explicit_margin_keeps_its_steps(grid32, scalar_mats, chafee2, monkeypatch):

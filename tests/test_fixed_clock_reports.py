@@ -106,5 +106,5 @@ def test_scipy_preload_follows_the_import_record(tmp_path, configs_dir):
     imports = json.loads((tmp_path / "import.json").read_text())
     assert list(imports) == ["import_s", "scipy"] and "scipy.linalg" in imports["scipy"]
     deferred = {".".join(name.split(".")[:2]) for name in seen["preload"]}
-    assert deferred == {"scipy.sparse", "scipy.fft", "scipy.spatial"}
+    assert deferred == {"scipy.sparse", "scipy.spatial"}
     assert not deferred & set(imports["scipy"])
